@@ -8,11 +8,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse as sparse
 import scipy.special as special
 
 from .geometry import Grid, DomainSpec
-from .discrete_ops import SolverError, _pcg, assemble_half_laplacian
+from .discrete_ops import SolverError, assemble_half_laplacian
 from .moments import MomentSequence
 from .spectral import SpectralData
 
@@ -119,6 +118,12 @@ def heat_content_timestep(grid: Grid, times, dt: float) -> HeatContentCurve:
     Startup is Rannacher's: two implicit-Euler half steps, which damp the
     incompatible-corner transients that plain CN propagates. q at requested
     times comes from linear interpolation between adjacent steps.
+
+    Both step kinds solve with I + (dt/2) S = (dt/2) (S + sigma I), sigma =
+    2/dt, so one factor serves the run: an Euler half step is
+    z <- sigma (S + sigma)^{-1} z and a CN step is z <- 2 sigma (S +
+    sigma)^{-1} z - z. Heat sums are formed only on steps that bracket a
+    requested time; the maximum-principle check runs on every step.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -126,45 +131,41 @@ def heat_content_timestep(grid: Grid, times, dt: float) -> HeatContentCurve:
     if times[0] <= 0:
         raise ValueError("times must be positive")
     op = assemble_half_laplacian(grid)
-    n = op.n
-    eye = sparse.eye(n, format="csr")
-    A_half = (eye + (dt / 2.0) * op.sym).tocsr()   # implicit Euler, step dt/2
-    A_cn = (eye + (dt / 2.0) * op.sym).tocsr()     # CN left side, step dt
-    dh = A_half.diagonal()
-    dc = A_cn.diagonal()
+    sigma = 2.0 / dt
+    lu = op.factor(sigma)
     sqrtw = op.sqrtw
     z = sqrtw.copy()                               # u = 1
     t = 0.0
     qs = np.empty_like(times)
-    qprev, tprev = math.fsum(sqrtw * z), 0.0
+    zprev, tprev, qprev = z, 0.0, None             # qprev formed on demand
 
     def record_upto(limit):
-        nonlocal qprev, tprev
-        qnow = math.fsum(sqrtw * z)
+        nonlocal zprev, tprev, qprev
         u = z / sqrtw
         # blowup detector, not a positivity assertion: CN is not monotone on
         # the discontinuous start and undershoots by ~1e-5 before Rannacher
         # damping wins, so the band is deliberately loose
         if float(u.max()) > 1.0 + 1e-3 or float(u.min()) < -1e-3:
             raise SolverError("time stepper left [0, 1]: maximum principle broken")
-        for i in np.where((times > tprev) & (times <= limit + 1e-15))[0]:
+        due = np.where((times > tprev) & (times <= limit + 1e-15))[0]
+        qnow = None
+        if len(due):
+            if qprev is None:
+                qprev = math.fsum(sqrtw * zprev)
+            qnow = math.fsum(sqrtw * z)
+        for i in due:
             frac = (times[i] - tprev) / (t - tprev) if t > tprev else 1.0
             qs[i] = qprev + frac * (qnow - qprev)
-        qprev, tprev = qnow, t
+        zprev, tprev, qprev = z, t, qnow
 
     # Rannacher startup
     for _ in range(2):
-        z, _, ok = _pcg(A_half, z, x0=z, tol=1e-12, diag=dh)
-        if not ok:
-            raise SolverError("startup solve failed")
+        z = sigma * lu.solve(z)
         t += dt / 2.0
     record_upto(t)
     t_end = float(times[-1])
     while t < t_end - 1e-12:
-        rhs = z - (dt / 2.0) * (op.sym @ z)
-        z, _, ok = _pcg(A_cn, rhs, x0=z, tol=1e-12, diag=dc)
-        if not ok:
-            raise SolverError(f"CN solve failed at t={t:g}")
+        z = 2.0 * sigma * lu.solve(z) - z
         t += dt
         record_upto(t)
     # accumulated t may stop a few ulp short of t_end, leaving the last

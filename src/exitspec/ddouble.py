@@ -38,7 +38,14 @@ def split(a: float):
 
 
 def two_prod(a: float, b: float):
-    """p, e with p = fl(a*b) and a*b = p+e exactly."""
+    """p, e with p = fl(a*b) and a*b = p+e exactly.
+
+    Exact only while |a*b| stays clear of the subnormal range: the bits of
+    the error term e reach down to about 2^-106 |a*b|, so e rounds once
+    those fall below the smallest normal double 2^-1022, that is for
+    |a*b| below about 2^-916 = 1.8e-276 (a = b = 3.08e-148 is such a case).
+    Overflow of a*b or of the splitting is likewise excluded.
+    """
     p = a * b
     ahi, alo = split(a)
     bhi, blo = split(b)

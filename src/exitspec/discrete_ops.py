@@ -1,5 +1,5 @@
-"""Discrete generator -(1/2)Delta_h with Dirichlet conditions, CG solves,
-low eigenpairs, and quadrature.
+"""Discrete generator -(1/2)Delta_h with Dirichlet conditions, direct solves
+through one cached sparse LU per shift, low eigenpairs, and quadrature.
 
 Everything is built around a symmetrized representation. With W the diagonal
 of quadrature weights and M the operator in node space, the matrix
@@ -70,22 +70,24 @@ class DiscreteOperator:
         self.sym = sym.tocsr()
         self.w = np.asarray(weights, dtype=float)
         self.sqrtw = np.sqrt(self.w)
-        self.diag = self.sym.diagonal()
-        self._lu = None
+        self._factors = {}
         self._norm_inf = None
 
-    def lu_solve(self, b):
-        """Direct sparse solve in the symmetric gauge; factored once.
+    def factor(self, shift=0.0):
+        """Sparse LU of S + shift * I, built on first use and cached per shift.
 
-        One step of iterative refinement pushes the relative residual to
-        machine level, which matters because the matrix entries scale with
-        1/h^2 and plain LU backward error would sit near kappa * eps.
+        Every solve on this operator goes through one of these factors: the
+        Poisson and Laplace solves, the Crank-Nicolson steps and the
+        shift-invert eigensolve.
         """
-        if self._lu is None:
-            self._lu = splinalg.splu(self.sym.tocsc())
-        z = self._lu.solve(b)
-        z += self._lu.solve(b - self.sym @ z)
-        return z
+        lu = self._factors.get(shift)
+        if lu is None:
+            A = self.sym
+            if shift != 0.0:
+                A = A + shift * sparse.eye(self.n, format="csr")
+            lu = splinalg.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            self._factors[shift] = lu
+        return lu
 
     @property
     def n(self):
@@ -119,115 +121,76 @@ def assemble_half_laplacian(grid: Grid) -> DiscreteOperator:
     n = grid.n
     if grid.kind == "radial":
         h = grid.h
-        r = grid.nodes
         # flux through the face at r_{i+1/2}; the factor pi (not 2 pi)
-        # carries the probabilist 1/2
-        face = (r + h / 2.0) * math.pi / h
-        rows, cols, vals = [], [], []
-        for i in range(n):
-            fp = face[i] if i + 1 < n else (r[i] + h / 2.0) * math.pi / h
-            fm = face[i - 1] if i > 0 else 0.0
-            rows.append(i); cols.append(i); vals.append(fp + fm)
-            if i + 1 < n:
-                rows.append(i); cols.append(i + 1); vals.append(-face[i])
-                rows.append(i + 1); cols.append(i); vals.append(-face[i])
-        WM = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n))
+        # carries the probabilist 1/2; the last node's outer face leads to the
+        # Dirichlet ghost at r = R, so it enters the diagonal only
+        face = (grid.nodes + h / 2.0) * math.pi / h
+        inward = np.concatenate(([0.0], face[:-1]))
+        WM = sparse.diags([-face[:-1], face + inward, -face[:-1]], [-1, 0, 1],
+                          shape=(n, n), format="csr")
         inv_sqrt = 1.0 / np.sqrt(grid.weights)
         S = sparse.diags(inv_sqrt) @ WM @ sparse.diags(inv_sqrt)
         return DiscreteOperator(grid, S, grid.weights)
 
     h = grid.h
     c = 1.0 / (2.0 * h * h)
-    rows, cols, vals = [], [], []
-    for i, coord in enumerate(grid.lattice):
-        deg = 2 * len(coord)
-        rows.append(i); cols.append(i); vals.append(deg * c)
-        for j in grid.neighbors(coord):
-            if j is not None:
-                rows.append(i); cols.append(j); vals.append(-c)
-    S = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n))
+    lat = np.asarray(grid.lattice, dtype=np.int64).reshape(n, -1)
+    # linear keys with a one-node margin on every axis, so a step off the
+    # lattice never aliases another node's key
+    lo = lat.min(axis=0) - 1
+    span = lat.max(axis=0) - lo + 2
+    stride = np.concatenate((np.cumprod(span[:0:-1])[::-1], [1]))
+    keys = (lat - lo) @ stride
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    rows, cols = [np.arange(n)], [np.arange(n)]
+    vals = [np.full(n, 2 * lat.shape[1] * c)]
+    for s in stride:
+        for nb in (keys - s, keys + s):
+            pos = np.minimum(np.searchsorted(sorted_keys, nb), n - 1)
+            hit = sorted_keys[pos] == nb
+            rows.append(np.flatnonzero(hit))
+            cols.append(order[pos[hit]])
+            vals.append(np.full(int(hit.sum()), -c))
+    S = sparse.coo_matrix((np.concatenate(vals),
+                           (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(n, n))
     return DiscreteOperator(grid, S, grid.weights)
 
 
-def _pcg(A, b, x0=None, tol=1e-10, max_iter=None, diag=None):
-    """Jacobi-preconditioned conjugate gradients on a CSR SPD matrix.
-
-    Fixed iteration order, hence deterministic. Convergence criterion is
-    ||A x - b|| <= tol * ||b||. Returns (x, iterations, converged).
-    """
-    n = A.shape[0]
-    if max_iter is None:
-        # 20 sqrt(N) is far too small for 1D chains (CG needs ~N steps on a
-        # tridiagonal Poisson matrix); keep the finite-termination bound
-        max_iter = max(int(20 * math.sqrt(n)), 2 * n)
-    if diag is None:
-        diag = A.diagonal()
-    inv_diag = 1.0 / diag
-    bnorm = math.sqrt(float(np.dot(b, b)))
-    if bnorm == 0.0:
-        return np.zeros(n), 0, True
-    x = np.zeros(n) if x0 is None else x0.astype(float).copy()
-    r = b - A @ x
-    target = tol * bnorm
-    if math.sqrt(float(np.dot(r, r))) <= target:
-        return x, 0, True
-    z = inv_diag * r
-    p = z.copy()
-    rz = float(np.dot(r, z))
-    for it in range(1, max_iter + 1):
-        Ap = A @ p
-        alpha = rz / float(np.dot(p, Ap))
-        x += alpha * p
-        r -= alpha * Ap
-        if math.sqrt(float(np.dot(r, r))) <= target:
-            # recompute the true residual; accumulated r can drift
-            rt = b - A @ x
-            if math.sqrt(float(np.dot(rt, rt))) <= target:
-                return x, it, True
-            r = rt
-        z = inv_diag * r
-        rz_new = float(np.dot(r, z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return x, max_iter, False
-
-
 def solve_poisson(op: DiscreteOperator, rhs: Field, tol: float = 1e-10,
-                  max_iter=None, x0=None) -> Field:
-    """Solve M u = rhs with ||M u - rhs|| <= tol * ||rhs|| in node space.
+                  shift: float = 0.0) -> Field:
+    """Solve (M + shift) u = rhs with ||(M + shift) u - rhs|| <= tol * ||rhs||
+    in node space, through the operator's cached factor of S + shift.
 
     The contract saturates at the backward-stable floor eps*||A||*||u||: for
     fine grids ||A|| ~ 1/h^2 makes very small relative tolerances physically
     meaningless in double precision, so residuals at that floor count as
-    converged no matter what tol asks for.
+    converged no matter what tol asks for. A solve that misses the contract
+    gets one refinement step from the same factor before SolverError.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    b = rhs.values * op.sqrtw          # z-space right-hand side W^{1/2} b
-    z0 = None if x0 is None else x0.values * op.sqrtw
+    if shift < 0:
+        raise ValueError("shift must be >= 0")
     bnorm = math.sqrt(float(np.dot(rhs.values, rhs.values)))
     if bnorm == 0.0:
         return Field.zeros(op.grid)
-    if op.grid.spec.dim == 1 or op.grid.kind == "radial":
-        # tridiagonal: a cached direct factorization beats CG outright
-        z = op.lu_solve(b)
-    else:
-        z, _, _ = _pcg(op.sym, b, x0=z0, tol=tol, max_iter=max_iter,
-                       diag=op.diag)
-    u = z / op.sqrtw
-    # the contract is in node space; tighten and retry if weight scaling ate it
+    lu = op.factor(shift)
+    z = lu.solve(rhs.values * op.sqrtw)    # z-space right-hand side W^{1/2} b
     eps = np.finfo(float).eps
-    for _ in range(4):
-        res = rhs.values - op.apply(u)
+    for refine in (True, False):
+        u = z / op.sqrtw
+        res = rhs.values - op.apply(u) - shift * u
         rnorm = math.sqrt(float(np.dot(res, res)))
-        floor = 8.0 * eps * op.norm_inf() * math.sqrt(float(np.dot(u, u)))
+        floor = (8.0 * eps * (op.norm_inf() + shift)
+                 * math.sqrt(float(np.dot(u, u))))
         if rnorm <= max(tol * bnorm, floor):
             return Field(op.grid, u)
-        z, _, _ = _pcg(op.sym, b, x0=z, tol=tol * 0.03, max_iter=max_iter,
-                       diag=op.diag)
-        u = z / op.sqrtw
-    raise SolverError(f"solve stalled above tol={tol:g} and the "
-                      "backward-stable floor")
+        if refine:
+            z = z + lu.solve(res * op.sqrtw)
+    raise SolverError(f"solve missed tol={tol:g} and the backward-stable "
+                      f"floor after refinement (residual {rnorm:.3g})")
 
 
 def integrate(f: Field) -> float:
@@ -240,52 +203,32 @@ def inner(f: Field, g: Field) -> float:
     return math.fsum(f.values * g.values * f.grid.weights)
 
 
-def lowest_eigenpairs(op: DiscreteOperator, m: int, tol: float = 1e-7,
-                      max_outer: int = 400):
-    """Lowest m eigenpairs of the generator by block inverse iteration.
+def lowest_eigenpairs(op: DiscreteOperator, m: int, tol: float = 1e-7):
+    """Lowest m eigenpairs of the generator by shift-invert Lanczos.
 
-    Block of m plus a small buffer; each sweep solves S Y = Z by CG (warm
-    started), re-orthonormalizes by Gram-Schmidt (QR), and Rayleigh-Ritz
-    rotates. Returned eigenvalues follow the positive-Laplacian convention:
-    lambda = 2 * (matrix eigenvalue of S). Fields are orthonormal under grid
-    quadrature. Residual contract: ||(S - lambda/2) z|| <= tol per pair.
+    ARPACK runs on S^{-1} through the operator's shift-0 factor, from a fixed
+    seeded start vector, so repeated calls are bit-identical. Returned
+    eigenvalues follow the positive-Laplacian convention: lambda = 2 *
+    (matrix eigenvalue of S). Fields are orthonormal under grid quadrature.
+    Residual contract: ||(S - lambda/2) z|| <= tol per pair.
     """
     n = op.n
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m > min(32, n - 2):
-        raise SolverError(f"m={m} beyond solver capacity for n={n}")
-    mb = min(m + 4, n - 1)
-    rng = np.random.default_rng(7042)   # fixed: lowest_eigenpairs is deterministic
-    Z, _ = np.linalg.qr(rng.standard_normal((n, mb)))
-    A = op.sym
-    theta = None
-    res = np.full(mb, np.inf)
-    inner_tol = 1e-4
-    Y = Z.copy()
-    for _ in range(max_outer):
-        for j in range(mb):
-            Y[:, j], _, _ = _pcg(A, Z[:, j], x0=Y[:, j], tol=inner_tol,
-                                 diag=op.diag)
-        Q, _ = np.linalg.qr(Y)
-        AQ = A @ Q
-        T = Q.T @ AQ
-        T = (T + T.T) / 2.0
-        theta, U = np.linalg.eigh(T)
-        Z = Q @ U
-        AZ = AQ @ U
-        res = np.linalg.norm(AZ - Z * theta, axis=0)
-        if np.all(res[:m] <= tol):
-            break
-        # the residual floor of a sweep is about theta_m * inner_tol, so the
-        # inner solves must be driven well below the remaining gap
-        theta_m = max(float(theta[min(m - 1, mb - 1)]), 1.0)
-        inner_tol = max(1e-13,
-                        min(inner_tol, 0.05 * float(res[:m].max()) / theta_m))
-        # near convergence A^{-1} z ~ z / theta, an excellent warm start
-        Y = Z / theta
-    else:
-        raise SolverError(f"eigensolver stalled: residuals {res[:m]}, tol={tol}")
+    if m > n - 2:
+        raise SolverError(f"m={m} needs more than the {n} grid nodes")
+    lu = op.factor(0.0)
+    OPinv = splinalg.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    v0 = np.random.default_rng(7042).standard_normal(n)
+    try:
+        theta, Z = splinalg.eigsh(op.sym, k=m, sigma=0.0, OPinv=OPinv, v0=v0)
+    except splinalg.ArpackError as e:
+        raise SolverError(f"eigensolver failed for m={m}: {e}") from e
+    idx = np.argsort(theta)
+    theta, Z = theta[idx], Z[:, idx]
+    res = np.linalg.norm(op.sym @ Z - Z * theta, axis=0)
+    if not np.all(res <= tol):
+        raise SolverError(f"eigensolver residuals {res} above tol={tol}")
     pairs = []
     for i in range(m):
         phi = Z[:, i] / op.sqrtw

@@ -13,11 +13,10 @@ import math
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .geometry import Interval, Rectangle, Disk, DomainSpec, Grid, build_radial_grid
-from .discrete_ops import (DiscreteOperator, Field, SolverError,
-                           assemble_half_laplacian, integrate, solve_poisson, _pcg)
+from .discrete_ops import (Field, SolverError, assemble_half_laplacian,
+                           integrate, solve_poisson)
 
 
 class MomentSequence:
@@ -143,12 +142,8 @@ def laplace_transform(grid: Grid, s: float, tol: float = 1e-11) -> Field:
     if s == 0.0:
         return Field.ones(grid)
     op = assemble_half_laplacian(grid)
-    A = (op.sym + s * sparse.eye(op.n, format="csr")).tocsr()
-    b = s * op.sqrtw      # z-space image of the constant rhs s
-    z, _, ok = _pcg(A, b, tol=tol)
-    if not ok:
-        raise SolverError(f"laplace solve at s={s} did not converge")
-    w = z / op.sqrtw
+    w = solve_poisson(op, Field(grid, np.full(grid.n, float(s))), tol=tol,
+                      shift=s).values
     return Field(grid, 1.0 - w)
 
 

@@ -160,15 +160,16 @@ def numeric_spectrum(grid: Grid, m: int, tol: float = 1e-8) -> SpectralData:
     basis-independent projection of 1 onto the cluster eigenspace. Reported
     multiplicity is grid multiplicity, not certified continuum multiplicity.
     """
+    op = assemble_half_laplacian(grid)
     mm = m + 4
     while True:
-        pairs = lowest_eigenpairs(assemble_half_laplacian(grid), mm, tol=tol)
+        pairs = lowest_eigenpairs(op, mm, tol=tol)
         lams = [p[0] for p in pairs]
         groups = _cluster(lams, CLUSTER_REL_TOL)
         # the last cluster may be truncated by the block edge; require one spare
-        if len(groups) > m or mm >= min(32, grid.n - 2):
+        if len(groups) > m or mm >= grid.n - 2:
             break
-        mm = min(mm + max(4, m), 32, grid.n - 2)
+        mm = min(mm + max(4, m), grid.n - 2)
     if len(groups) < m:
         raise ValueError(f"could not resolve {m} clusters (got {len(groups)})")
     entries = []

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 import exitspec as es
 
@@ -39,12 +40,79 @@ def test_2d_solve_residual_and_positivity():
     assert u.values.min() > 0
 
 
-def test_lu_and_cg_agree():
-    g = es.build_grid(es.Interval(0, 1), 1 / 128)
+def test_2d_solve_contract_through_cached_factor():
+    g = es.build_grid(es.Rectangle(1, 1), 1 / 32)
     op = es.assemble_half_laplacian(g)
-    b = np.sin(np.pi * np.asarray(g.nodes, dtype=float))
-    direct = op.lu_solve(b)
-    assert np.linalg.norm(op.sym @ direct - b) < 1e-12 * np.linalg.norm(b)
+    x, y = g.nodes[:, 0], g.nodes[:, 1]
+    b = es.Field(g, np.sin(np.pi * x) * (1.0 + y))
+    u = es.solve_poisson(op, b, tol=1e-11)
+    lu = op.factor()
+    # node-space residual contract, saturating at the backward-stable floor
+    r = op.apply(u.values) - b.values
+    floor = (8.0 * np.finfo(float).eps * op.norm_inf()
+             * np.linalg.norm(u.values))
+    assert np.linalg.norm(r) <= max(1e-11 * np.linalg.norm(b.values), floor)
+    # the second solve reuses the factor and repeats the first bit for bit
+    again = es.solve_poisson(op, b, tol=1e-11)
+    assert op.factor() is lu
+    assert np.array_equal(again.values, u.values)
+
+
+def _loop_assembly(grid):
+    """Entry-by-entry assembly of S, kept independent of the package's."""
+    n = grid.n
+    rows, cols, vals = [], [], []
+    if grid.kind == "radial":
+        h, r = grid.h, grid.nodes
+        face = [(r[i] + h / 2.0) * math.pi / h for i in range(n)]
+        for i in range(n):
+            rows.append(i); cols.append(i)
+            vals.append(face[i] + (face[i - 1] if i > 0 else 0.0))
+            if i + 1 < n:
+                rows += [i, i + 1]; cols += [i + 1, i]; vals += [-face[i]] * 2
+        WM = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n))
+        d = sparse.diags(1.0 / np.sqrt(grid.weights))
+        return (d @ WM @ d).tocsr()
+    c = 1.0 / (2.0 * grid.h ** 2)
+    for i, coord in enumerate(grid.lattice):
+        rows.append(i); cols.append(i); vals.append(2 * len(coord) * c)
+        for j in grid.neighbors(coord):
+            if j is not None:
+                rows.append(i); cols.append(j); vals.append(-c)
+    return sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+@pytest.mark.parametrize("grid", [
+    es.build_grid(es.Interval(0, 1), 1 / 37),
+    es.build_grid(es.Rectangle(1, 1), 1 / 24),
+    es.build_grid(es.Polygon([(0, 0), (1, 0), (1, 0.5), (0.5, 0.5),
+                              (0.5, 1), (0, 1)]), 1 / 20),
+    es.build_radial_grid(es.Disk(1), 1 / 50),
+], ids=["interval", "square", "L-polygon", "radial-disk"])
+def test_vectorized_assembly_matches_loop(grid):
+    got = es.assemble_half_laplacian(grid).sym.tocsr()
+    want = _loop_assembly(grid)
+    got.sort_indices()
+    want.sort_indices()
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
+def test_laplace_transform_matches_discrete_closed_form():
+    """On a lattice the 3-point stencil is solved exactly by
+    cosh(k(x - 1/2)) / cosh(k/2) with cosh(k h) = 1 + s h^2."""
+    s, h = 3.0, 1 / 128
+    g = es.build_grid(es.Interval(0, 1), h)
+    x = np.asarray(g.nodes, dtype=float)
+    got = es.laplace_transform(g, s).values
+    k = math.acosh(1.0 + s * h * h) / h
+    want = np.cosh(k * (x - 0.5)) / math.cosh(k / 2.0)
+    assert np.abs(got - want).max() <= 1e-12
+    # and the continuum law E^{1/2}[exp(-s tau)] = 1/cosh(sqrt(2 s)/2)
+    mid = es.Field(g, got).value_at(0.5)
+    assert mid == pytest.approx(1.0 / math.cosh(math.sqrt(2 * s) / 2),
+                                rel=1e-4)
 
 
 def test_radial_operator_matches_lattice_torsion():
@@ -120,6 +188,18 @@ class TestEigenpairs:
         # modes (1,2) and (2,1) are exactly degenerate on the square lattice
         assert abs(lams[1] - lams[2]) <= 1e-9 * lams[1]
         assert lams[1] > lams[0] * 2
+
+    def test_many_pairs_match_discrete_closed_form(self):
+        """m = 40 on the square lattice, beyond the reach of a fixed-size
+        block solver; every value is known in closed form."""
+        h = 1 / 24
+        g = es.build_grid(es.Rectangle(1, 1), h)
+        pairs = es.lowest_eigenpairs(es.assemble_half_laplacian(g), 40,
+                                     tol=1e-8)
+        s2 = np.sin(np.arange(1, 24) * math.pi * h / 2.0) ** 2
+        exact = np.sort(((4.0 / h ** 2) * (s2[:, None] + s2[None, :])).ravel())
+        lams = [lam for lam, _ in pairs]
+        assert lams == pytest.approx(list(exact[:40]), rel=1e-10)
 
     def test_m_too_large(self):
         g = es.build_grid(es.Interval(0, 1), 1 / 8)
