@@ -1,25 +1,26 @@
 """Stieltjes moment inversion: recover the atomic measure psi with
-moments mu_n from the Hankel generalized eigenproblem H1 v = x H0 v,
-then eigenvalues lambda = 2/x and weights a^2 from the atoms.
+moments mu_n, then eigenvalues lambda = 2/x and weights a^2 from the atoms.
 
 The map is fixed as lambda = 2/x: mu_n = sum a^2 (2/lambda)^n places the
 atoms of psi at 2/lambda, which the interval closed form mu_1 = 1/6 pins
 down. Conditioning of Hankel sections degrades geometrically in p, so the
 atom count is capped from the (diagonally balanced) singular values against
-the moment noise floor, and a software double-double path handles the
-factorization when 64-bit arithmetic is not enough.
+the moment noise floor. Two back ends recover the atoms: "standard" solves
+the Hankel generalized eigenproblem H1 v = x H0 v by Cholesky reduction in
+float64; "extended" is Golub-Welsch on an exact-rational Jacobi matrix (the
+recurrence coefficients come from Gautschi's Chebyshev algorithm in
+fractions, then one float64 tridiagonal eigensolve gives nodes and weights).
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg as sla
 
 from .analysis import HeatContentCurve
-from .ddouble import (DD, dd_back_solve, dd_cholesky, dd_forward_solve,
-                      dd_jacobi_eigh, dd_matrix)
 from .moments import MomentSequence
 from .spectral import SpectralData
 
@@ -150,47 +151,59 @@ def _invert_standard(mu, p):
     return list(nodes), list(w)
 
 
-def _invert_extended(mu_dd, p):
-    H0 = dd_matrix([[mu_dd[i + j] for j in range(p)] for i in range(p)])
-    H1 = dd_matrix([[mu_dd[i + j + 1] for j in range(p)] for i in range(p)])
-    try:
-        L = dd_cholesky(H0)
-    except ArithmeticError as e:
-        raise InversionError(f"H0 numerically rank deficient at p={p}; "
-                             "reduce p") from e
-    # W = L^{-1} H1 L^{-T}, symmetric positive map of nodes
-    X = [dd_forward_solve(L, [H1[i][j] for i in range(p)]) for j in range(p)]
-    # X[j] is column j of L^{-1} H1; now solve again on its transpose
-    W = [dd_forward_solve(L, [X[j][i] for j in range(p)]) for i in range(p)]
-    # symmetrize
-    for i in range(p):
-        for j in range(i):
-            v = (W[i][j] + W[j][i]) * 0.5
-            W[i][j] = v
-            W[j][i] = v
-    ev, _ = dd_jacobi_eigh(W)
-    nodes = sorted(ev, key=float, reverse=True)
-    # weights: row-scaled Vandermonde normal equations in dd
-    m = 2 * p
-    V = [[nodes[c] ** r / mu_dd[r] for c in range(p)] for r in range(m)]
-    A = [[sum((V[r][i] * V[r][j] for r in range(m)), DD(0.0)) for j in range(p)]
-         for i in range(p)]
-    # right-hand side of the scaled system is all ones: rhs = V^T 1
-    rhs = [sum((V[r][i] for r in range(m)), DD(0.0)) for i in range(p)]
-    Lw = dd_cholesky(A)
-    w = dd_back_solve(Lw, dd_forward_solve(Lw, rhs))
-    return [float(x) for x in nodes], [float(x) for x in w]
+def _recurrence(mu, p):
+    """Three-term recurrence coefficients alpha_0..alpha_{p-1} and
+    beta_0..beta_{p-1} of the monic orthogonal polynomials of the measure
+    with moments mu_0..mu_{2p-1}, pi_{k+1} = (x - alpha_k) pi_k
+    - beta_k pi_{k-1} with beta_0 = mu_0, by Gautschi's Chebyshev
+    algorithm in exact rational arithmetic.
+
+    sigma[l] = <pi_k, x^l> for l = k..2p-k-1. Its pivot sigma[k] =
+    <pi_k, pi_k> is the ratio of consecutive Hankel determinants, so a
+    nonpositive pivot means H0 is not positive definite.
+    """
+    n = 2 * p
+    prev, sigma = [0] * n, [Fraction(m) for m in mu[:n]]
+    alpha, beta = [], []
+    for k in range(p):
+        if sigma[k] <= 0:
+            raise InversionError(f"H0 numerically rank deficient at p={p}; "
+                                 "reduce p")
+        # at k = 0 the previous row is sigma_{-1} = 0
+        alpha.append(sigma[k + 1] / sigma[k]
+                     - (prev[k] / prev[k - 1] if k else 0))
+        beta.append(sigma[k] / prev[k - 1] if k else sigma[0])
+        a, b = alpha[k], beta[k]
+        prev, sigma = sigma, [0] * (k + 1) + [
+            sigma[l + 1] - a * sigma[l] - b * prev[l]
+            for l in range(k + 1, n - k - 1)]
+    return alpha, beta
+
+
+def _golub_welsch(alpha, beta):
+    """Nodes (decreasing) and weights of the Gauss rule of the Jacobi
+    matrix with diagonal alpha and off-diagonal sqrt(beta_1..): its
+    eigenvalues, and beta_0 times the squared first eigenvector
+    components."""
+    d = np.array([float(a) for a in alpha])
+    e = np.sqrt([float(b) for b in beta[1:]])
+    nodes, V = sla.eigh_tridiagonal(d, e)
+    weights = float(beta[0]) * V[0] ** 2
+    return list(nodes[::-1]), list(weights[::-1])
 
 
 def invert_moments(ms: MomentSequence, p: int,
                    precision: str = "standard") -> AtomicMeasure:
     """Solve the truncated Stieltjes moment problem for p atoms.
 
-    Nodes from the generalized eigenproblem H1 v = x H0 v (Cholesky
-    reduction to an ordinary symmetric problem), weights by least squares on
-    the row-scaled Vandermonde system over mu_0..mu_{2p-1}. precision
-    "extended" runs the factorization in double-double arithmetic, using
-    exact rational moments when the sequence carries them.
+    precision "standard": nodes from the generalized eigenproblem
+    H1 v = x H0 v (Cholesky reduction to an ordinary symmetric problem),
+    weights by least squares on the row-scaled Vandermonde system over
+    mu_0..mu_{2p-1}. precision "extended": the three-term recurrence
+    coefficients of mu_0..mu_{2p-1} in exact rational arithmetic (from the
+    exact moments when the sequence carries them, else from the float
+    moments taken exactly), then nodes and weights of the Gauss rule of the
+    Jacobi matrix from one float64 tridiagonal eigensolve.
 
     The requested p is capped by atom_count_cap; the effective value is in
     diagnostics["p_effective"].
@@ -203,10 +216,11 @@ def invert_moments(ms: MomentSequence, p: int,
         raise ValueError(f"p={p} needs n_max >= {2*p-1}, have {ms.n_max}")
     ms.validate()
     if precision == "extended" and ms.mu_exact is not None:
-        # exact rational moments: the only noise is the double-double
-        # factorization itself, so cap against that epsilon instead of the
-        # provenance floor (the balanced sigma_min is still measured in
-        # doubles, which quietly limits p to sections it can certify)
+        # exact rational moments: the recurrence is exact and only the
+        # float64 tridiagonal eigensolve rounds, so cap against a floor far
+        # below the provenance one (the balanced sigma_min is still
+        # measured in doubles, which quietly limits p to sections it can
+        # certify)
         cap = atom_count_cap(ms, p, floor=1e-26)
     else:
         cap = atom_count_cap(ms, p)
@@ -214,11 +228,8 @@ def invert_moments(ms: MomentSequence, p: int,
         raise InversionError("moment noise floor leaves no recoverable atoms")
     p_eff = min(p, cap)
     if precision == "extended":
-        if ms.mu_exact is not None:
-            mu_dd = [DD.from_fraction(f) for f in ms.mu_exact]
-        else:
-            mu_dd = [DD.from_float(v) for v in ms.mu]
-        nodes, weights = _invert_extended(mu_dd, p_eff)
+        mu = ms.mu_exact if ms.mu_exact is not None else ms.mu
+        nodes, weights = _golub_welsch(*_recurrence(mu, p_eff))
     else:
         nodes, weights = _invert_standard(ms.mu, p_eff)
 

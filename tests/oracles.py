@@ -95,3 +95,50 @@ def rectangle_exact_moment1(lx, ly, terms=400):
 def disk_exact_moment1(r):
     # u_1 = (r^2 - |x|^2)/2 for generator Delta/2, so A_1 = pi r^4 / 4
     return math.pi * r ** 4 / 4.0
+
+
+def _det(rows):
+    """Determinant of a square matrix of Fractions by exact elimination."""
+    a = [list(r) for r in rows]
+    det = Fraction(1)
+    for c in range(len(a)):
+        piv = next((r for r in range(c, len(a)) if a[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / a[c][c]
+            for j in range(c, len(a)):
+                a[r][j] -= f * a[c][j]
+    return det
+
+
+def recurrence_from_hankel_determinants(mu, p):
+    """alpha_0..alpha_{p-1}, beta_0..beta_{p-1} of the monic orthogonal
+    polynomials of the moments mu, straight from Hankel determinants:
+    beta_k = D_{k+1} D_{k-1} / D_k^2 with D_k = det[mu_{i+j}]_{i,j<k},
+    D_0 = D_{-1} = 1, and alpha_k = E_{k+1}/D_{k+1} - E_k/D_k, where E_k
+    is D_k with its last column shifted one moment up (E_0 = 0), so that
+    -E_k/D_k is the x^{k-1} coefficient of pi_k."""
+    mu = [Fraction(m) for m in mu]
+
+    def hankel_det(k, last_shift):
+        cols = list(range(k - 1)) + [k - 1 + last_shift] if k else []
+        return _det([[mu[i + j] for j in cols] for i in range(k)])
+
+    D = [Fraction(1)] + [hankel_det(k, 0) for k in range(1, p + 1)]
+    E = [Fraction(0)] + [hankel_det(k, 1) for k in range(1, p + 1)]
+    alpha = [E[k + 1] / D[k + 1] - E[k] / D[k] for k in range(p)]
+    beta = [D[1]] + [D[k + 1] * D[k - 1] / D[k] ** 2 for k in range(1, p)]
+    return alpha, beta
+
+
+def monic_orthogonal_value(alpha, beta, x):
+    """pi_p(x) exactly, p = len(alpha), from the three-term recurrence."""
+    prev, cur = Fraction(0), Fraction(1)
+    for a, b in zip(alpha, beta):
+        prev, cur = cur, (x - a) * cur - b * prev
+    return cur

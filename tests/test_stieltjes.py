@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import exitspec as es
+from exitspec.stieltjes import _recurrence
 
 import oracles
 
@@ -89,9 +91,10 @@ class TestInvert:
         assert am.atoms[1][0] == pytest.approx(true[1][0], rel=5e-2)
 
     def test_extended_beats_standard(self):
-        """Exact rational moments let the double-double factorization go
-        past the float64 atom cap, and every extra atom sharpens the
-        recovered deep nodes by orders of magnitude."""
+        """Exact rational moments let the exact recurrence plus a float64
+        tridiagonal eigensolve go past the float64 Hankel atom cap, and
+        every extra atom sharpens the recovered deep nodes by orders of
+        magnitude."""
         ms = es.analytic_moments(es.Interval(0, 1), 11)
         std = es.invert_moments(ms, 6)
         ext = es.invert_moments(ms, 6, precision="extended")
@@ -103,6 +106,48 @@ class TestInvert:
         assert err_std > 1e-6          # float64 route is truncation-limited
         assert err_ext < 1e-7          # six atoms cut the truncation error
         assert err_ext < err_std / 50
+
+    def test_recurrence_matches_hankel_determinants(self):
+        mu = es.analytic_moments(es.Interval(0, 1), 17).mu_exact
+        for p in range(1, 9):
+            assert _recurrence(mu, p) == \
+                oracles.recurrence_from_hankel_determinants(mu, p)
+
+    def test_oracle_polynomial_vanishes_at_atoms(self):
+        # p atoms: pi_p is the node polynomial prod (x - x_j)
+        atoms = [(Fraction(1, 3), Fraction(2)),
+                 (Fraction(3, 2), Fraction(1, 5)),
+                 (Fraction(4), Fraction(7, 3))]
+        mu = [sum(w * x ** n for x, w in atoms) for n in range(6)]
+        alpha, beta = oracles.recurrence_from_hankel_determinants(mu, 3)
+        assert beta[0] == sum(w for _, w in atoms)
+        for x, _ in atoms:
+            assert oracles.monic_orthogonal_value(alpha, beta, x) == 0
+        assert oracles.monic_orthogonal_value(alpha, beta, Fraction(0)) == \
+            -math.prod(x for x, _ in atoms)
+
+    def test_recurrence_rejects_indefinite_hankel(self):
+        # moments of a signed measure: the second pivot is negative
+        ms = atomic_sequence([(1.0, 1.0), (2.0, -0.5)], 3)
+        with pytest.raises(es.InversionError, match="rank deficient"):
+            _recurrence(ms.mu, 2)
+
+    @pytest.mark.parametrize("L", [1e-3, 1.0, 1e3])
+    def test_extended_nodes_bracket_gauss_nodes(self, L):
+        """Every extended node lies within a relative 1e-13 of a root of
+        the exact degree-8 orthogonal polynomial of the interval moments:
+        the polynomial changes sign across x (1 -+ 1e-13) in exact
+        arithmetic."""
+        ms = es.analytic_moments(es.Interval(0, L), 17)
+        am = es.invert_moments(ms, 8, "extended")
+        assert am.diagnostics["p_effective"] == 8 and am.p == 8
+        alpha, beta = oracles.recurrence_from_hankel_determinants(
+            ms.mu_exact, 8)
+        for x, _ in am.atoms:
+            lo, hi = (oracles.monic_orthogonal_value(
+                alpha, beta, Fraction(x) * (1 + Fraction(s, 10 ** 13)))
+                for s in (-1, 1))
+            assert lo * hi < 0, x
 
     def test_moments_reproduced(self):
         ms = es.analytic_moments(es.Interval(0, 1), 9)
