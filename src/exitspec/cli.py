@@ -11,6 +11,7 @@ replays a manifest and checks the hashes.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -19,15 +20,17 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
-from .analysis import (HeatContentCurve, asymptotic_fit, fit_window,
+from .analysis import (asymptotic_fit, fit_window,
                        heat_content_spectral, heat_content_timestep,
                        verify_identities)
+from .discrete_ops import assemble_half_laplacian
 from .geometry import (Disk, GeometryError, Interval, Polygon, Rectangle,
                        build_grid, build_radial_grid, perturb_polygon)
-from .moments import MomentSequence, analytic_moments, carleman_diagnostic, \
-    exit_moment_fields, moment_sequence
+from .moments import (analytic_moments, carleman_diagnostic,
+                      exit_moment_fields, moment_sequence)
 from .montecarlo import SimConfig, estimates_to_json, mc_laplace, mc_moments, \
     mc_survival, simulate_exit_times
 from .spectral import (SpectralData, analytic_spectrum, essential_spectrum,
@@ -167,23 +170,6 @@ def build_spec(cfg):
     return Polygon(verts)
 
 
-def _grid_for(cfg, spec):
-    if isinstance(spec, Disk) and cfg["grid.radial"]:
-        return build_radial_grid(spec, cfg["grid.h"])
-    return build_grid(spec, cfg["grid.h"])
-
-
-def _moments_for(cfg, spec, source):
-    if source == "analytic":
-        if isinstance(spec, Polygon):
-            raise ConfigError("no analytic moments for polygons; "
-                              "set invert.source = pde")
-        return analytic_moments(spec, cfg["moments.n_max"]), None
-    grid = _grid_for(cfg, spec)
-    fields = exit_moment_fields(grid, cfg["moments.n_max"], cfg["moments.tol"])
-    return moment_sequence(fields), grid
-
-
 def _sha256(path):
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -193,7 +179,8 @@ def _sha256(path):
 
 
 class Runner:
-    """Owns the output directory; tracks written files for the manifest."""
+    """Owns the output directory and the run's domain and grid; tracks
+    written files for the manifest."""
 
     def __init__(self, cfg, out_dir, strict=False, dump_operator=False):
         self.cfg = cfg
@@ -202,6 +189,16 @@ class Runner:
         self.strict = strict
         self.dump_operator = dump_operator
         self.written = []
+
+    @functools.cached_property
+    def spec(self):
+        return build_spec(self.cfg)
+
+    @functools.cached_property
+    def grid(self):
+        if isinstance(self.spec, Disk) and self.cfg["grid.radial"]:
+            return build_radial_grid(self.spec, self.cfg["grid.h"])
+        return build_grid(self.spec, self.cfg["grid.h"])
 
     def path(self, name):
         self.written.append(name)
@@ -222,117 +219,146 @@ class Runner:
                 "exitspec": __version__,
                 "numpy": np.__version__,
                 "python": platform.python_version(),
+                "scipy": scipy.__version__,
             },
             "seed": self.cfg["mc.seed"],
             "outputs": {n: _sha256(self.out / n)
                         for n in sorted(set(self.written + ["config.txt"]))},
         }
-        try:
-            import scipy
-            manifest["versions"]["scipy"] = scipy.__version__
-        except ImportError:
-            pass
-        with open(self.out / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        self.write_json("manifest.json", manifest)
         return status
 
 
-def run_moments(r: Runner):
-    spec = build_spec(r.cfg)
-    grid = _grid_for(r.cfg, spec)
-    fields = exit_moment_fields(grid, r.cfg["moments.n_max"],
+def _moments_stage(r: Runner):
+    """PDE moments on the run's grid; returns them and Carleman's verdict."""
+    fields = exit_moment_fields(r.grid, r.cfg["moments.n_max"],
                                 r.cfg["moments.tol"])
     ms = moment_sequence(fields)
     ms.to_csv(r.path("moments.csv"))
     diag = carleman_diagnostic(ms)
     r.write_json("carleman.json", diag)
     if r.dump_operator:
-        from .discrete_ops import assemble_half_laplacian
-        assemble_half_laplacian(grid).dump_coo(r.path("operator.txt"))
-        grid.dump_csv(r.path("grid.csv"))
+        assemble_half_laplacian(r.grid).dump_coo(r.path("operator.txt"))
+        r.grid.dump_csv(r.path("grid.csv"))
     print(f"moments: n_max={len(ms.A) - 1}, A_1={ms.A[1]:.9g}, "
           f"carleman {'ok' if diag['holds'] else 'VIOLATED'}")
-    return 0 if diag["holds"] else 2
+    return ms, diag["holds"]
 
 
-def run_spectrum(r: Runner):
-    spec = build_spec(r.cfg)
-    m = r.cfg["spectrum.m"]
-    if r.cfg["spectrum.source"] == "analytic":
-        if isinstance(spec, Polygon):
-            raise ConfigError("no analytic spectrum for polygons; "
-                              "set spectrum.source = numeric")
-        sd = analytic_spectrum(spec, m)
-    else:
-        sd = numeric_spectrum(_grid_for(r.cfg, spec), m)
-    sd.to_csv(r.path("spectrum.csv"))
-    star, vp = essential_spectrum(sd, r.cfg["spectrum.zero_tol"])
-    vol = sd.volume if sd.volume is not None else sd.total_weight()
-    ess = SpectralData([e for e in sd.entries
-                        if e[2] > r.cfg["spectrum.zero_tol"] * vol],
-                       sd.source, sd.volume)
-    ess.to_csv(r.path("essential.csv"))
-    print(f"spectrum: {len(sd.entries)} clusters, {len(star)} essential, "
-          f"lambda_1={sd.entries[0][0]:.9g}")
-    return 0
-
-
-def run_invert(r: Runner):
-    spec = build_spec(r.cfg)
-    ms, _ = _moments_for(r.cfg, spec, r.cfg["invert.source"])
+def _invert_stage(r: Runner, ms):
+    """Atoms of ms and their spectrum, or None if the PSD check fails."""
     p = r.cfg["invert.p"]
+    if ms.n_max < 2 * p - 1:
+        raise ConfigError(f"invert.p = {p} needs moments.n_max >= "
+                          f"{2 * p - 1}, have {ms.n_max}")
     psd = hankel_psd_check(ms, min(p, (len(ms.mu) // 2)))
     if not psd["pass"]:
         print(f"invert: Hankel PSD check failed "
               f"(min eig H0 {psd['H0_min_eig']:.3g}, "
               f"H1 {psd['H1_min_eig']:.3g}); refusing to invert")
         r.write_json("inversion.json", {"psd": psd, "status": "failed"})
-        return 2
+        return None
     am = invert_moments(ms, p, r.cfg["invert.precision"])
     am.to_csv(r.path("atoms.csv"))
     sd = measure_to_spectrum(am)
     sd.to_csv(r.path("inverted_spectrum.csv"))
     r.write_json("inversion.json", {"psd": psd, "diagnostics": am.diagnostics})
-    lam1 = 2.0 / am.atoms[0][0]
     print(f"invert: p_eff={am.diagnostics['p_effective']}, "
-          f"lambda_1={lam1:.9g}, "
+          f"lambda_1={2.0 / am.atoms[0][0]:.9g}, "
           f"max moment residual {am.diagnostics['max_moment_residual']:.3g}")
-    return 0
+    return am, sd
 
 
-def run_heat(r: Runner):
-    spec = build_spec(r.cfg)
-    grid = _grid_for(r.cfg, spec)
+def _spectrum_stage(r: Runner, m, numeric):
+    """First m clusters, numeric on the run's grid or analytic."""
+    if numeric:
+        sd = numeric_spectrum(r.grid, m)
+    elif isinstance(r.spec, Polygon):
+        raise ConfigError("no analytic spectrum for polygons; "
+                          "set spectrum.source = numeric")
+    else:
+        sd = analytic_spectrum(r.spec, m)
+    sd.to_csv(r.path("spectrum.csv"))
+    star, _ = essential_spectrum(sd, r.cfg["spectrum.zero_tol"])
+    SpectralData([e for e in sd.entries if e[0] in star], sd.source,
+                 sd.volume).to_csv(r.path("essential.csv"))
+    print(f"spectrum: {len(sd.entries)} clusters, {len(star)} essential, "
+          f"lambda_1={sd.entries[0][0]:.9g}")
+    return sd
+
+
+def _heat_stage(r: Runner):
+    """Time-stepped heat content on the run's grid, plus spectral and fit."""
     t_min, t_max = r.cfg["heat.t_min"], r.cfg["heat.t_max"]
     if t_min <= 0 or t_max <= t_min:
         raise ConfigError("need 0 < heat.t_min < heat.t_max")
     times = np.geomspace(t_min, t_max, r.cfg["heat.samples"])
     dt = r.cfg["heat.dt"] or t_min / 16.0
-    curve = heat_content_timestep(grid, times, dt)
+    curve = heat_content_timestep(r.grid, times, dt)
     curve.to_csv(r.path("heat_timestep.csv"))
     lines = [f"heat: q({t_min:g})={curve.q[0]:.9g}"]
-    if not isinstance(spec, Polygon):
-        sd = analytic_spectrum(spec, max(r.cfg["spectrum.m"], 32))
+    if not isinstance(r.spec, Polygon):
+        sd = analytic_spectrum(r.spec, max(r.cfg["spectrum.m"], 32))
         heat_content_spectral(sd, times).to_csv(r.path("heat_spectral.csv"))
-    lo, hi = fit_window(spec, grid.h)
+    lo, hi = fit_window(r.spec, r.grid.h)
     window = curve.restrict(max(lo, t_min), min(hi, t_max))
     if len(window.times) >= 8:
         fit = asymptotic_fit(window, r.cfg["heat.fit_terms"])
         fit.to_csv(r.path("fit.csv"))
         lines.append(f"fit: q_0={fit.coefficients[0]:.6g} "
-                     f"(vol {spec.volume():.6g}), "
+                     f"(vol {r.spec.volume():.6g}), "
                      f"q_1={fit.coefficients[1]:.6g}")
     else:
         lines.append("fit: skipped, too few samples in asymptotic window")
     print("; ".join(lines))
+    return curve
+
+
+def _verify_stage(r: Runner):
+    """Zeta identity to verify.n_max; returns the report and its verdict."""
+    if isinstance(r.spec, Polygon):
+        raise ConfigError("verify needs a domain with an analytic spectrum")
+    n_max = r.cfg["verify.n_max"]
+    sd = analytic_spectrum(r.spec, max(r.cfg["spectrum.m"], 64))
+    report = verify_identities(analytic_moments(r.spec, n_max), sd, n_max)
+    r.write_json("verify.json", report)
+    ok = report["max_rel_err"] <= r.cfg["verify.tol"]
+    print(f"verify: max relative error {report['max_rel_err']:.3g} over "
+          f"N=1..{n_max} ({'within' if ok else 'EXCEEDS'} "
+          f"{r.cfg['verify.tol']:g})")
+    return report, ok
+
+
+def run_moments(r: Runner):
+    _, holds = _moments_stage(r)
+    return 0 if holds else 2
+
+
+def run_spectrum(r: Runner):
+    _spectrum_stage(r, r.cfg["spectrum.m"],
+                    r.cfg["spectrum.source"] == "numeric")
+    return 0
+
+
+def run_invert(r: Runner):
+    if r.cfg["invert.source"] == "pde":
+        ms, _ = _moments_stage(r)
+    elif isinstance(r.spec, Polygon):
+        raise ConfigError("no analytic moments for polygons; "
+                          "set invert.source = pde")
+    else:
+        ms = analytic_moments(r.spec, r.cfg["moments.n_max"])
+    return 0 if _invert_stage(r, ms) else 2
+
+
+def run_heat(r: Runner):
+    _heat_stage(r)
     return 0
 
 
 def run_mc(r: Runner):
-    spec = build_spec(r.cfg)
     x0 = _parse_floats(r.cfg["mc.x0"]) or None
-    sim = SimConfig(spec, x0, r.cfg["mc.paths"], r.cfg["mc.dt"],
+    sim = SimConfig(r.spec, x0, r.cfg["mc.paths"], r.cfg["mc.dt"],
                     r.cfg["mc.seed"])
     samples = simulate_exit_times(sim, workers=r.cfg["mc.workers"])
     samples.to_csv(r.path("mc_samples.csv"))
@@ -355,29 +381,18 @@ def run_mc(r: Runner):
 
 
 def run_verify(r: Runner):
-    spec = build_spec(r.cfg)
-    if isinstance(spec, Polygon):
-        raise ConfigError("verify needs a domain with an analytic spectrum")
-    ms, _ = _moments_for(r.cfg, spec, "analytic")
-    sd = analytic_spectrum(spec, max(r.cfg["spectrum.m"], 64))
-    report = verify_identities(ms, sd, r.cfg["verify.n_max"])
-    r.write_json("verify.json", report)
-    ok = report["max_rel_err"] <= r.cfg["verify.tol"]
-    print(f"verify: max relative error {report['max_rel_err']:.3g} over "
-          f"N=1..{r.cfg['verify.n_max']} "
-          f"({'within' if ok else 'EXCEEDS'} {r.cfg['verify.tol']:g})")
+    _, ok = _verify_stage(r)
     return 0 if ok else 2
 
 
 def run_perturb(r: Runner):
-    spec = build_spec(r.cfg)
-    if not isinstance(spec, Polygon):
+    if not isinstance(r.spec, Polygon):
         raise ConfigError("perturb only applies to polygons")
     f = _parse_floats(r.cfg["perturb.f"])
-    if len(f) != len(spec.vertices):
+    if len(f) != len(r.spec.vertices):
         raise ConfigError(f"perturb.f has {len(f)} entries for "
-                          f"{len(spec.vertices)} vertices")
-    moved = perturb_polygon(spec, f, r.cfg["perturb.eps"])
+                          f"{len(r.spec.vertices)} vertices")
+    moved = perturb_polygon(r.spec, f, r.cfg["perturb.eps"])
     with open(r.path("perturbed_vertices.csv"), "w") as fh:
         fh.write("x,y\n")
         for x, y in moved.vertices:
@@ -463,40 +478,25 @@ def run_compare(r: Runner):
 
 
 def run_all(r: Runner):
-    """Full chain: moments -> invert -> compare -> heat -> verify."""
-    spec = build_spec(r.cfg)
-    summary = {}
-
-    grid = _grid_for(r.cfg, spec)
-    fields = exit_moment_fields(grid, r.cfg["moments.n_max"],
-                                r.cfg["moments.tol"])
-    ms = moment_sequence(fields)
-    ms.to_csv(r.path("moments.csv"))
-    diag = carleman_diagnostic(ms)
-    summary["moments"] = {"A_1": ms.A[1], "carleman_ok": diag["holds"]}
-    print(f"[1/5] moments: A_1={ms.A[1]:.9g}")
-
-    psd = hankel_psd_check(ms, min(r.cfg["invert.p"], len(ms.mu) // 2))
-    if not psd["pass"]:
+    """Full chain on the run's grid: moments -> invert -> compare -> heat
+    -> verify, summarized in summary.json."""
+    polygon = isinstance(r.spec, Polygon)
+    ms, carleman_ok = _moments_stage(r)
+    summary = {"moments": {"A_1": ms.A[1], "carleman_ok": carleman_ok}}
+    inverted = _invert_stage(r, ms)
+    if inverted is None:
         summary["invert"] = {"status": "psd check failed"}
         r.write_json("summary.json", summary)
-        print("[2/5] invert: Hankel PSD check failed, stopping")
         return 2
-    am = invert_moments(ms, r.cfg["invert.p"], r.cfg["invert.precision"])
-    am.to_csv(r.path("atoms.csv"))
-    inv_sd = measure_to_spectrum(am)
-    inv_sd.to_csv(r.path("inverted_spectrum.csv"))
+    am, inv_sd = inverted
     summary["invert"] = {"p_effective": am.diagnostics["p_effective"],
                          "lambda_1": 2.0 / am.atoms[0][0],
                          "vp_1": am.atoms[0][1]}
-    print(f"[2/5] invert: p_eff={am.diagnostics['p_effective']}, "
-          f"lambda_1={2.0 / am.atoms[0][0]:.9g}")
 
-    if not isinstance(spec, Polygon):
-        ref = analytic_spectrum(spec, max(r.cfg["spectrum.m"], 16))
-    else:
-        ref = numeric_spectrum(grid, r.cfg["spectrum.m"])
-    ref.to_csv(r.path("spectrum.csv"))
+    # the reference spectrum: numeric on the run's grid for polygons,
+    # analytic with at least 16 clusters otherwise
+    m = r.cfg["spectrum.m"]
+    ref = _spectrum_stage(r, m if polygon else max(m, 16), numeric=polygon)
     cmp_report = compare_spectra(inv_sd, ref, r.cfg["compare.tol"])
     r.write_json("compare.json", cmp_report)
     n_match = len(cmp_report["matched"])
@@ -513,38 +513,28 @@ def run_all(r: Runner):
     }
     tail = (f", {cmp_report['unmatched_a']} tail atoms unmatched"
             if cmp_report["unmatched_a"] else "")
-    print(f"[3/5] compare: {n_match} atoms matched "
-          f"reference clusters{tail}")
+    print(f"compare: {n_match} atoms matched reference clusters{tail}")
 
-    t_min, t_max = r.cfg["heat.t_min"], r.cfg["heat.t_max"]
-    times = np.geomspace(t_min, t_max, r.cfg["heat.samples"])
-    dt = r.cfg["heat.dt"] or t_min / 16.0
-    curve = heat_content_timestep(grid, times, dt)
-    curve.to_csv(r.path("heat_timestep.csv"))
+    curve = _heat_stage(r)
+    times = curve.times
     recon = reconstruct_heat_content(am, times)
     recon.to_csv(r.path("heat_reconstructed.csv"))
     upper = times >= times[len(times) // 2]
-    dev = float(np.max(np.abs(np.asarray(curve.q)[upper] -
-                              np.asarray(recon.q)[upper])))
+    dev = float(np.max(np.abs(curve.q[upper] - recon.q[upper])))
     summary["heat"] = {"max_abs_dev_upper_half": dev}
-    print(f"[4/5] heat: timestep vs reconstructed, "
+    print(f"heat: timestep vs reconstructed, "
           f"max |dq| = {dev:.3g} on t >= {times[len(times) // 2]:.3g}")
 
-    if not isinstance(spec, Polygon):
-        ms_ref = analytic_moments(spec, r.cfg["verify.n_max"])
-        sd_ref = analytic_spectrum(spec, 64)
-        report = verify_identities(ms_ref, sd_ref, r.cfg["verify.n_max"])
-        ok = report["max_rel_err"] <= r.cfg["verify.tol"]
-        summary["verify"] = {"max_rel_err": report["max_rel_err"], "ok": ok}
-        r.write_json("verify.json", report)
-        print(f"[5/5] verify: max rel err {report['max_rel_err']:.3g}")
-    else:
+    if polygon:
         summary["verify"] = {"skipped": "no analytic reference for polygons"}
         ok = True
-        print("[5/5] verify: skipped (polygon)")
+        print("verify: skipped (polygon)")
+    else:
+        report, ok = _verify_stage(r)
+        summary["verify"] = {"max_rel_err": report["max_rel_err"], "ok": ok}
 
     r.write_json("summary.json", summary)
-    if r.strict and not (ok and spectra_ok and diag["holds"]):
+    if r.strict and not (ok and spectra_ok and carleman_ok):
         return 2
     return 0
 
@@ -610,7 +600,8 @@ def main(argv=None):
                         help="override invert.precision")
     parser.add_argument("--dump-operator", action="store_true",
                         help="also write the discrete operator in "
-                             "'row col value' text form (moments pipeline)")
+                             "'row col value' text form and the grid "
+                             "(pipelines that run the moments stage)")
     parser.add_argument("--rerun", metavar="MANIFEST",
                         help="replay an archived manifest and check hashes")
     parser.add_argument("--emit-config", action="store_true",

@@ -11,6 +11,9 @@ multiple of the identity and S equals M; for the radial finite-volume scheme
 W M is symmetric by construction). Solves and eigensolves run on S in the
 variable z = W^{1/2} u, where the quadrature inner product is the plain dot
 product. Eigenvalues of S are lambda/2 under the probabilist convention.
+
+Each grid keeps the one operator assemble_half_laplacian builds for it, so
+the operator and the factors it caches live as long as the grid.
 """
 
 from __future__ import annotations
@@ -117,10 +120,12 @@ def assemble_half_laplacian(grid: Grid) -> DiscreteOperator:
     Neighbors outside the interior contribute zero (Dirichlet). Radial grids
     get the finite-volume flux form of (1/2)(u'' + u'/r) with the symmetric
     regularization u'(0) = 0; the returned matrix is the symmetrized S.
+    Later calls for the same grid return the operator the first one built.
     """
-    n = grid.n
+    if grid._operator is not None:
+        return grid._operator
+    n, h = grid.n, grid.h
     if grid.kind == "radial":
-        h = grid.h
         # flux through the face at r_{i+1/2}; the factor pi (not 2 pi)
         # carries the probabilist 1/2; the last node's outer face leads to the
         # Dirichlet ghost at r = R, so it enters the diagonal only
@@ -130,32 +135,31 @@ def assemble_half_laplacian(grid: Grid) -> DiscreteOperator:
                           shape=(n, n), format="csr")
         inv_sqrt = 1.0 / np.sqrt(grid.weights)
         S = sparse.diags(inv_sqrt) @ WM @ sparse.diags(inv_sqrt)
-        return DiscreteOperator(grid, S, grid.weights)
-
-    h = grid.h
-    c = 1.0 / (2.0 * h * h)
-    lat = np.asarray(grid.lattice, dtype=np.int64).reshape(n, -1)
-    # linear keys with a one-node margin on every axis, so a step off the
-    # lattice never aliases another node's key
-    lo = lat.min(axis=0) - 1
-    span = lat.max(axis=0) - lo + 2
-    stride = np.concatenate((np.cumprod(span[:0:-1])[::-1], [1]))
-    keys = (lat - lo) @ stride
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    rows, cols = [np.arange(n)], [np.arange(n)]
-    vals = [np.full(n, 2 * lat.shape[1] * c)]
-    for s in stride:
-        for nb in (keys - s, keys + s):
-            pos = np.minimum(np.searchsorted(sorted_keys, nb), n - 1)
-            hit = sorted_keys[pos] == nb
-            rows.append(np.flatnonzero(hit))
-            cols.append(order[pos[hit]])
-            vals.append(np.full(int(hit.sum()), -c))
-    S = sparse.coo_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(n, n))
-    return DiscreteOperator(grid, S, grid.weights)
+    else:
+        c = 1.0 / (2.0 * h * h)
+        lat = np.asarray(grid.lattice, dtype=np.int64).reshape(n, -1)
+        # linear keys with a one-node margin on every axis, so a step off
+        # the lattice never aliases another node's key
+        lo = lat.min(axis=0) - 1
+        span = lat.max(axis=0) - lo + 2
+        stride = np.concatenate((np.cumprod(span[:0:-1])[::-1], [1]))
+        keys = (lat - lo) @ stride
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        rows, cols = [np.arange(n)], [np.arange(n)]
+        vals = [np.full(n, 2 * lat.shape[1] * c)]
+        for s in stride:
+            for nb in (keys - s, keys + s):
+                pos = np.minimum(np.searchsorted(sorted_keys, nb), n - 1)
+                hit = sorted_keys[pos] == nb
+                rows.append(np.flatnonzero(hit))
+                cols.append(order[pos[hit]])
+                vals.append(np.full(int(hit.sum()), -c))
+        S = sparse.coo_matrix((np.concatenate(vals),
+                               (np.concatenate(rows), np.concatenate(cols))),
+                              shape=(n, n))
+    grid._operator = DiscreteOperator(grid, S, grid.weights)
+    return grid._operator
 
 
 def solve_poisson(op: DiscreteOperator, rhs: Field, tol: float = 1e-10,

@@ -297,6 +297,7 @@ class Grid:
         self.weights = np.asarray(weights, dtype=float)
         self.index = {c: i for i, c in enumerate(self.lattice)}
         self.kind = kind
+        self._operator = None      # kept by assemble_half_laplacian
 
     @property
     def n(self):

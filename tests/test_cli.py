@@ -1,7 +1,9 @@
+import filecmp
 import json
 import math
 
 import pytest
+import scipy.sparse.linalg as splinalg
 from hypothesis import given, settings, strategies as st
 
 import exitspec as es
@@ -18,6 +20,37 @@ def run(args, tmp_path, config_text=None):
         cfg.write_text(config_text)
         argv += ["--config", str(cfg)]
     return main(argv + ["--out", str(tmp_path / "out")])
+
+
+ALL_INTERVAL = {
+    "domain.type": "interval",
+    "grid.h": "0.0078125",
+    "moments.n_max": "9",
+    "invert.p": "3",
+    "heat.t_min": "0.001",
+    "heat.t_max": "0.01",
+    "heat.samples": "8",
+    "mc.paths": "200",
+    "mc.dt": "0.001",
+    "mc.x0": "0.5",
+    "verify.n_max": "4",
+    "verify.tol": "0.01",
+}
+
+L_SHAPE = {
+    "domain.type": "polygon",
+    "domain.vertices": "0,0; 1,0; 1,0.5; 0.5,0.5; 0.5,1; 0,1",
+    "grid.h": "0.0625",
+    "spectrum.m": "4",
+    "moments.n_max": "9",
+    "invert.p": "3",
+    "heat.t_min": "0.01",
+    "heat.t_max": "0.2",
+}
+
+
+def config_text(keys):
+    return "".join(f"{k} = {v}\n" for k, v in keys.items())
 
 
 FAST_MOMENTS = """\
@@ -182,19 +215,8 @@ class TestPipelines:
         assert sd.m == 4
 
     def test_all_pipeline_summary(self, tmp_path):
-        rc = run(["--pipeline", "all"], tmp_path, config_text=(
-            "domain.type = interval\n"
-            "grid.h = 0.0078125\n"
-            "moments.n_max = 9\n"
-            "invert.p = 3\n"
-            "heat.t_min = 0.001\n"
-            "heat.t_max = 0.01\n"
-            "heat.samples = 8\n"
-            "mc.paths = 200\n"
-            "mc.dt = 0.001\n"
-            "mc.x0 = 0.5\n"
-            "verify.n_max = 4\n"
-            "verify.tol = 0.01\n"))
+        rc = run(["--pipeline", "all"], tmp_path,
+                 config_text=config_text(ALL_INTERVAL))
         assert rc == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["moments"]["carleman_ok"]
@@ -206,6 +228,78 @@ class TestPipelines:
         assert summary["verify"]["ok"]
         man = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert man["pipeline"] == "all"
+
+    def test_all_matches_single_stages(self, tmp_path):
+        """Every file `all` shares with a single-stage pipeline on the same
+        config is byte-identical: each stage has one code path."""
+        text = config_text({**ALL_INTERVAL, "invert.source": "pde"})
+        required = {"moments": ["moments.csv"],
+                    "invert": ["atoms.csv", "inverted_spectrum.csv"],
+                    "heat": ["heat_timestep.csv"],
+                    "verify": ["verify.json"]}
+        for pipeline in ["all", *required]:
+            (tmp_path / pipeline).mkdir()
+            assert run(["--pipeline", pipeline], tmp_path / pipeline,
+                       text) == 0
+        all_out = tmp_path / "all" / "out"
+        for stage, names in required.items():
+            out = tmp_path / stage / "out"
+            shared = sorted(p.name for p in out.iterdir()
+                            if p.name not in ("config.txt", "manifest.json")
+                            and (all_out / p.name).exists())
+            assert set(names) <= set(shared)
+            _, mismatch, errors = filecmp.cmpfiles(all_out, out, shared,
+                                                   shallow=False)
+            assert (mismatch, errors) == ([], []), stage
+
+    def test_all_shares_one_operator(self, tmp_path, monkeypatch):
+        """On a polygon, `all` factors the grid's operator once per shift:
+        0 for the moments and the eigensolve, 2/dt for the heat steps."""
+        calls = []
+        splu = splinalg.splu
+
+        def counting_splu(A, *args, **kwargs):
+            calls.append(A.shape)
+            return splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(splinalg, "splu", counting_splu)
+        rc = run(["--pipeline", "all"], tmp_path,
+                 config_text=config_text(L_SHAPE))
+        assert rc == 0
+        assert len(calls) == 2
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert "skipped" in summary["verify"]
+        assert summary["compare"]["matched_ok"]
+        g = es.build_grid(es.Rectangle(1, 1), 1 / 8)
+        assert es.assemble_half_laplacian(g) is es.assemble_half_laplacian(g)
+
+    @pytest.mark.parametrize("pipeline, changes, rc, message", [
+        ("invert", {"moments.n_max": "8", "invert.p": "5"}, 2,
+         "invert.p = 5 needs moments.n_max >= 9, have 8"),
+        ("all", {"moments.n_max": "8", "invert.p": "5"}, 2,
+         "invert.p = 5 needs moments.n_max >= 9, have 8"),
+        ("all", {"heat.t_min": "0"}, 2, "need 0 < heat.t_min < heat.t_max"),
+        # verify takes its analytic moments to verify.n_max itself
+        ("verify", {"verify.n_max": "12"}, 0, None),
+    ], ids=["invert-n_max", "all-n_max", "all-t_min", "verify-n_max"])
+    def test_stage_config_checks(self, tmp_path, capsys, pipeline, changes,
+                                 rc, message):
+        text = config_text({**ALL_INTERVAL, **changes})
+        assert run(["--pipeline", pipeline], tmp_path, text) == rc
+        err = capsys.readouterr().err
+        if message is None:
+            assert err == ""
+        else:
+            assert f"error: {message}" in err
+
+    def test_verify_beyond_moments_n_max(self, tmp_path):
+        rc = run(["--pipeline", "verify"], tmp_path, config_text=(
+            "domain.type = interval\n"
+            "verify.n_max = 12\n"))
+        assert rc == 0
+        rep = json.loads((tmp_path / "out" / "verify.json").read_text())
+        assert [row["N"] for row in rep["rows"]] == list(range(1, 13))
+        assert rep["max_rel_err"] <= 1e-4
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["--config", str(tmp_path / "nope.cfg"),
