@@ -6,17 +6,29 @@ is (1/2) Delta. A path terminates at the first step that lands outside the
 domain and tau is recorded at that step; there is no sub-step interpolation,
 which leaves a documented O(sqrt(dt)) positive bias on exit times.
 
+Walk rule: x_j = fl(x_{j-1} + fl(sqrt(dt) * z_j)), one rounded addition per
+step from the carried position, so where a walk is split into passes cannot
+change a single bit of it. tau = j * dt at the first j with x_j outside D.
+
+Passes: paths run in chunks of chunk_paths. A chunk's first pass walks its
+live paths FIRST_PASS steps, and each later pass doubles that up to
+block_steps, cut to the steps left under STEP_CAP. A pass works through the
+live paths in groups of at most PASS_NORMALS normals (paths x steps x dim),
+so its arrays stay a few MB. A path is NaN exactly when it has not left D
+within STEP_CAP steps.
+
 Reproducibility contract: path i draws from a Philox stream keyed
 (base_seed, i), consumed in simulation order (start-point rejection draws
 first where applicable, then dim normals per step); estimator reductions
-run in fixed path-index order. Worker count and block sizes
-cannot change any estimate bit-for-bit.
+run in fixed path-index order. Worker count, chunk and pass sizes cannot
+change any estimate bit-for-bit.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -24,7 +36,9 @@ import numpy as np
 from .geometry import Disk, DomainSpec, Interval, Polygon, Rectangle
 from .moments import MomentSequence
 
-STEP_CAP = 10 ** 8
+STEP_CAP = 10 ** 8      # a path not out of D after this many steps is NaN
+FIRST_PASS = 64         # steps in a chunk's first pass
+PASS_NORMALS = 2 ** 19  # normals per group of a pass (paths x steps x dim)
 
 
 class McError(RuntimeError):
@@ -61,11 +75,17 @@ class SimConfig:
 
 
 class ExitSamples:
-    """Per-path exit times; NaN marks paths cut by the step cap."""
+    """Per-path exit times; NaN marks paths cut by the step cap.
 
-    def __init__(self, cfg: SimConfig, taus):
+    stats records what the simulation did: normals_drawn, steps (walk steps
+    taken over all paths, the cap for a capped path), passes (block passes
+    over all chunks) and step_cap_hits.
+    """
+
+    def __init__(self, cfg: SimConfig, taus, stats=None):
         self.cfg = cfg
         self.taus = np.asarray(taus, dtype=float)
+        self.stats = dict(stats or {})
         self.excluded = int(np.count_nonzero(np.isnan(self.taus)))
 
     def finite(self):
@@ -113,13 +133,20 @@ def _outside_mask(spec, pos):
     raise McError(f"unsupported domain {spec!r}")
 
 
-def _draw_start(spec, gen):
-    """One uniform interior start point from the path's own stream."""
+def _start_points(spec, gens):
+    """Uniform interior start points, row i from path i's own stream.
+
+    Disks and polygons reject from the bounding box: every pending path draws
+    one candidate, in path order, one vectorized contains call judges them
+    all, and rejected paths draw again. Each path consumes the same draws in
+    the same order as when it is sampled alone.
+    """
     if isinstance(spec, Interval):
-        return np.array([spec.a + gen.random() * (spec.b - spec.a)])
+        u = np.array([g.random() for g in gens])
+        return (spec.a + u * (spec.b - spec.a))[:, None]
     if isinstance(spec, Rectangle):
-        return np.array([gen.random() * spec.Lx, gen.random() * spec.Ly])
-    # rejection from the bounding box
+        u = np.array([(g.random(), g.random()) for g in gens])
+        return u * np.array([spec.Lx, spec.Ly])
     if isinstance(spec, Disk):
         lo = np.array([-spec.R, -spec.R])
         side = np.array([2 * spec.R, 2 * spec.R])
@@ -129,15 +156,46 @@ def _draw_start(spec, gen):
         side = v.max(axis=0) - lo
     else:
         raise McError(f"unsupported domain {spec!r}")
+    pts = np.empty((len(gens), 2))
+    pending = np.arange(len(gens))
     for _ in range(10000):
-        pt = lo + gen.random(2) * side
-        if bool(np.all(spec.contains(pt[None, :]))):
-            return pt
+        cand = lo + np.array([gens[i].random(2) for i in pending]) * side
+        ok = spec.contains(cand)
+        pts[pending[ok]] = cand[ok]
+        pending = pending[~ok]
+        if not len(pending):
+            return pts
     raise McError("start-point rejection sampling failed")
 
 
-def _run_chunk(cfg, lo, hi, block_steps, taus):
-    """Simulate paths [lo, hi); writes into the shared taus slice."""
+def _advance(walk, sqdt):
+    """In place: walk[:, 0] holds start points and walk[:, 1:] normals; after
+    the call walk[:, j] = fl(walk[:, j-1] + fl(sqdt * z_j)), the walk rule."""
+    walk[:, 1:] *= sqdt
+    np.cumsum(walk, axis=1, out=walk)
+
+
+def _walk_pass(spec, gens, pos, n, sqdt):
+    """Walk path r n steps from pos[r] with normals from gens[r]. Returns the
+    step (1..n) at which each path first left D, 0 if it did not, and the
+    end positions."""
+    walk = np.empty((len(gens), n + 1, spec.dim))
+    walk[:, 0] = pos
+    for g, row in zip(gens, walk[:, 1:]):
+        g.standard_normal(out=row)
+    _advance(walk, sqdt)
+    outside = _outside_mask(spec, walk[..., 0] if spec.dim == 1 else walk)[:, 1:]
+    first = np.where(outside.any(axis=1), outside.argmax(axis=1) + 1, 0)
+    return first, walk[:, -1].copy()  # a view would keep walk alive
+
+
+def _run_chunk(cfg, lo, hi, block_steps):
+    """Simulate paths [lo, hi); returns their taus and the chunk's stats.
+
+    All live paths of a chunk have taken the same number of steps, so one
+    counter carries the step cap. A pass walks every live path n steps, in
+    groups of rows that hold at most PASS_NORMALS normals.
+    """
     spec = cfg.spec
     dim = spec.dim
     dt = cfg.dt
@@ -146,64 +204,60 @@ def _run_chunk(cfg, lo, hi, block_steps, taus):
     gens = [np.random.Generator(np.random.Philox(key=[cfg.seed, lo + i]))
             for i in range(count)]
     if cfg.x0 is None:
-        pos = np.stack([_draw_start(spec, g) for g in gens])
+        pos = _start_points(spec, gens)
     else:
-        pos = np.tile(cfg.x0.astype(float), (count, 1))
-    alive = np.arange(count)
-    steps_done = np.zeros(count, dtype=np.int64)
+        pos = np.tile(cfg.x0, (count, 1))
+    alive = np.arange(count)  # live paths' indices, their generators, positions
+    live = gens
     out = np.full(count, np.nan)
-    L = block_steps
-    while len(alive):
-        k = len(alive)
-        if dim == 1:
-            Z = np.empty((k, L))
-            for r, idx in enumerate(alive):
-                gens[idx].standard_normal(out=Z[r])
-            traj = pos[alive, 0][:, None] + sqdt * np.cumsum(Z, axis=1)
-            outside = _outside_mask(spec, traj)
-        else:
-            Z = np.empty((k, L, dim))
-            for r, idx in enumerate(alive):
-                gens[idx].standard_normal(out=Z[r])
-            traj = pos[alive][:, None, :] + sqdt * np.cumsum(Z, axis=1)
-            outside = _outside_mask(spec, traj)
-        exited = outside.any(axis=1)
-        first = np.argmax(outside, axis=1)
-        for r in np.nonzero(exited)[0]:
-            idx = alive[r]
-            out[idx] = (steps_done[idx] + first[r] + 1) * dt
-        survivors = np.nonzero(~exited)[0]
-        if len(survivors):
-            steps_done[alive[survivors]] += L
-            if dim == 1:
-                pos[alive[survivors], 0] = traj[survivors, -1]
-            else:
-                pos[alive[survivors]] = traj[survivors, -1]
-            capped = steps_done[alive[survivors]] >= STEP_CAP
-            keep = survivors[~capped]
-            alive = alive[keep] if len(keep) < len(survivors) else alive[survivors]
-        else:
-            alive = alive[:0]
-    taus[lo:hi] = out
+    done = steps = drawn = passes = 0
+    L = min(FIRST_PASS, block_steps)
+    while live and done < STEP_CAP:
+        k = len(live)
+        n = min(L, STEP_CAP - done)
+        rows = max(1, PASS_NORMALS // (n * dim))
+        parts = [_walk_pass(spec, live[i:i + rows], pos[i:i + rows], n, sqdt)
+                 for i in range(0, k, rows)]
+        first = np.concatenate([f for f, _ in parts])
+        exited = first > 0
+        exit_step = done + first[exited]
+        out[alive[exited]] = exit_step * dt
+        steps += int(exit_step.sum())
+        stay = ~exited
+        alive = alive[stay]
+        live = [g for g, s in zip(live, stay) if s]
+        pos = np.concatenate([p for _, p in parts])[stay]
+        done += n
+        drawn += k * n * dim
+        passes += 1
+        L = min(2 * L, block_steps)
+    steps += len(live) * done
+    stats = {"normals_drawn": drawn, "steps": steps, "passes": passes,
+             "step_cap_hits": len(live)}
+    return out, stats
 
 
 def simulate_exit_times(cfg: SimConfig, workers: int = 1,
                         block_steps: int = 4096, chunk_paths: int = 1024):
     """One exit time per path. Results do not depend on workers, block_steps,
-    or chunk_paths; those only schedule the work."""
-    taus = np.full(cfg.paths, np.nan)
+    or chunk_paths; those only schedule the work. block_steps is the longest
+    pass: passes start at FIRST_PASS steps and double up to it. The returned
+    samples' stats are summed over the chunks in path order."""
+    if block_steps < 1 or chunk_paths < 1:
+        raise ValueError("block_steps and chunk_paths must be positive")
     spans = [(lo, min(lo + chunk_paths, cfg.paths))
              for lo in range(0, cfg.paths, chunk_paths)]
     if workers <= 1:
-        for lo, hi in spans:
-            _run_chunk(cfg, lo, hi, block_steps, taus)
+        results = [_run_chunk(cfg, lo, hi, block_steps) for lo, hi in spans]
     else:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            futs = [ex.submit(_run_chunk, cfg, lo, hi, block_steps, taus)
+            futs = [ex.submit(_run_chunk, cfg, lo, hi, block_steps)
                     for lo, hi in spans]
-            for f in futs:
-                f.result()
-    return ExitSamples(cfg, taus)
+            results = [f.result() for f in futs]
+    stats = Counter()
+    for _, chunk_stats in results:
+        stats.update(chunk_stats)
+    return ExitSamples(cfg, np.concatenate([t for t, _ in results]), stats)
 
 
 def _mean_se(values):

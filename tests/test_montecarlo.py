@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -17,6 +18,15 @@ def enlarged(dt):
     return 1.0 + 2 * SHIFT * math.sqrt(dt)
 
 
+def nudged_square():
+    sq = es.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+    return es.perturb_polygon(sq, (-1.0, 0.6, 1.0, -0.2), 0.07)
+
+
+def taus_sha256(cfg):
+    return hashlib.sha256(es.simulate_exit_times(cfg).taus.tobytes()).hexdigest()
+
+
 class TestConfig:
     def test_validation(self):
         iv = es.Interval(0, 1)
@@ -26,6 +36,10 @@ class TestConfig:
             es.SimConfig(iv, [0.5], 0, 1e-3, seed=1)
         with pytest.raises(ValueError):
             es.SimConfig(iv, [0.5], 10, 0.0, seed=1)
+        cfg = es.SimConfig(iv, [0.5], 10, 1e-3, seed=1)
+        for kw in ({"block_steps": 0}, {"chunk_paths": 0}):
+            with pytest.raises(ValueError):
+                es.simulate_exit_times(cfg, **kw)
 
     def test_describe_names_the_stream_rule(self):
         cfg = es.SimConfig(es.Interval(0, 1), [0.5], 10, 1e-3, seed=9)
@@ -43,6 +57,51 @@ class TestDeterminism:
             again = es.simulate_exit_times(cfg, workers=workers,
                                            block_steps=bs, chunk_paths=cp)
             assert np.array_equal(base.taus, again.taus)
+        # uniform starts on a polygon: batched start-point rejection too
+        cfg = es.SimConfig(nudged_square(), None, 64, 1e-3, seed=8)
+        base = es.simulate_exit_times(cfg).taus
+        assert np.isfinite(base).all()
+        for workers in (1, 2, 3):
+            for bs in (1, 64, 4096):
+                for cp in (1, 37, 1024):
+                    again = es.simulate_exit_times(
+                        cfg, workers=workers, block_steps=bs, chunk_paths=cp)
+                    assert np.array_equal(base, again.taus), (workers, bs, cp)
+
+    def test_pinned_bits(self):
+        """The exit times of two configurations, pinned by hash: the walk
+        rule, the stream consumption and the start-point rejection may be
+        rescheduled but never change a bit."""
+        fixed = es.SimConfig(es.Interval(0, 1), [0.5], 300, 1e-3, seed=5)
+        uniform = es.SimConfig(nudged_square(), None, 300, 1e-3, seed=5)
+        assert taus_sha256(fixed) == (
+            "82f6eafb45d82a1aee9de12cb328707b521fc329b02070840c4792a9fa59931f")
+        assert taus_sha256(uniform) == (
+            "bfd0af30f13fce19afe541cd63b0c84de057b1bb991173b845f1363e89a259e4")
+
+    def test_walk_split_invariance(self):
+        """A 1000-step walk advanced in pieces, carrying the last position,
+        equals the walk advanced at once and the step-by-step rule
+        x_j = x_{j-1} + sqrt(dt) z_j, bit for bit."""
+        rng = np.random.default_rng(17)
+        sqdt = math.sqrt(1e-4)
+        z = rng.standard_normal((3, 1000, 2))
+        x0 = rng.random((3, 2))
+        whole = np.concatenate([x0[:, None], z], axis=1)
+        mcmod._advance(whole, sqdt)
+        ref = np.empty_like(whole)
+        ref[:, 0] = x0
+        for j in range(1000):
+            ref[:, j + 1] = ref[:, j] + sqdt * z[:, j]
+        assert np.array_equal(whole, ref)
+        for cuts in ([1, 2, 999], [7, 500, 501, 993], [333, 666]):
+            pos, pieces = x0, []
+            for a, b in zip([0] + cuts, cuts + [1000]):
+                walk = np.concatenate([pos[:, None], z[:, a:b]], axis=1)
+                mcmod._advance(walk, sqdt)
+                pieces.append(walk[:, 1:])
+                pos = walk[:, -1]
+            assert np.array_equal(np.concatenate(pieces, axis=1), whole[:, 1:])
 
     def test_seed_sensitivity(self, mc_interval_small):
         cfg, base = mc_interval_small
@@ -73,6 +132,31 @@ class TestSamples:
         assert np.isnan(s.taus).any()
         with pytest.raises(es.McError):
             es.mc_moments(s, 1)
+
+    def test_step_cap_independent_of_blocks(self, monkeypatch):
+        """A path is NaN exactly when it has not exited within STEP_CAP
+        steps, however the passes are sized."""
+        monkeypatch.setattr(mcmod, "STEP_CAP", 16)
+        cfg = es.SimConfig(es.Interval(0, 1), [0.5], 32, 1e-2, seed=3)
+        runs = [es.simulate_exit_times(cfg, block_steps=bs)
+                for bs in (8, 64, 4096)]
+        for s in runs:
+            assert np.array_equal(s.taus, runs[0].taus, equal_nan=True)
+            assert s.stats["step_cap_hits"] == s.excluded
+        assert 0 < runs[0].excluded < 32
+        assert np.all(runs[0].finite() <= 16 * cfg.dt)
+
+    def test_stats_count_the_walk(self):
+        cfg = es.SimConfig(nudged_square(), None, 300, 1e-3, seed=6)
+        s = es.simulate_exit_times(cfg, chunk_paths=128)
+        st = s.stats
+        assert set(st) == {"normals_drawn", "steps", "passes", "step_cap_hits"}
+        assert st["step_cap_hits"] == s.excluded == 0
+        assert st["steps"] == int(np.rint(s.finite() / cfg.dt).sum())
+        assert st["normals_drawn"] >= cfg.spec.dim * st["steps"]
+        assert st["passes"] >= 3  # at least one per chunk
+        again = es.simulate_exit_times(cfg, workers=3, chunk_paths=128)
+        assert again.stats == st
 
     def test_csv_round_trip(self, tmp_path, mc_interval_small):
         _, samples = mc_interval_small
