@@ -41,9 +41,13 @@ class MomentSequence:
             lambda1 = 2.0 * n * self.A[n - 1] / self.A[n]
         self.lambda1 = lambda1
 
-    def validate(self):
+    def validate(self, positive=True):
+        """Raise ValueError naming the first A_n that is not finite or, when
+        positive, not positive."""
         for n, a in enumerate(self.A):
-            if a <= 0:
+            if not math.isfinite(a):
+                raise ValueError(f"A_{n} = {a} is not finite")
+            if positive and a <= 0:
                 raise ValueError(f"A_{n} = {a} is not positive")
 
     def to_csv(self, path):

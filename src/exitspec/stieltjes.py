@@ -5,11 +5,11 @@ The map is fixed as lambda = 2/x: mu_n = sum a^2 (2/lambda)^n places the
 atoms of psi at 2/lambda, which the interval closed form mu_1 = 1/6 pins
 down. Conditioning of Hankel sections degrades geometrically in p, so the
 atom count is capped from the (diagonally balanced) singular values against
-the moment noise floor. Two back ends recover the atoms: "standard" solves
-the Hankel generalized eigenproblem H1 v = x H0 v by Cholesky reduction in
-float64; "extended" is Golub-Welsch on an exact-rational Jacobi matrix (the
-recurrence coefficients come from Gautschi's Chebyshev algorithm in
-fractions, then one float64 tridiagonal eigensolve gives nodes and weights).
+the moment noise floor. One back end recovers the atoms: Gautschi's
+Chebyshev algorithm turns the moments into the recurrence coefficients of
+the Jacobi matrix, and Golub-Welsch (one float64 tridiagonal eigensolve)
+gives nodes and weights. The precision only picks the arithmetic of the
+recurrence: float64 for "standard", exact fractions for "extended".
 """
 
 from __future__ import annotations
@@ -89,7 +89,10 @@ def _hankel(mu, p, shift):
 def hankel_psd_check(ms: MomentSequence, p: int, eps_psd: float = 1e-9):
     """Positive semidefiniteness of H_p = [mu_{i+j}] and the shifted
     H'_p = [mu_{i+j+1}]: the solvability certificate for the Stieltjes
-    problem. Pass iff both smallest eigenvalues >= -eps_psd * trace."""
+    problem. Pass iff both smallest eigenvalues >= -eps_psd * trace.
+    Non-finite moments raise ValueError; nonpositive ones are left to the
+    eigenvalue test."""
+    ms.validate(positive=False)
     if 2 * p > ms.n_max + 1:
         raise ValueError(f"p={p} needs moments up to 2p-1={2*p-1}, "
                          f"have n_max={ms.n_max}")
@@ -133,37 +136,20 @@ def atom_count_cap(ms: MomentSequence, p_max: int, floor: float = None) -> int:
     return best
 
 
-def _invert_standard(mu, p):
-    H0 = _hankel(mu, p, 0)
-    H1 = _hankel(mu, p, 1)
-    try:
-        L = np.linalg.cholesky(H0)
-    except np.linalg.LinAlgError as e:
-        raise InversionError(f"H0 numerically rank deficient at p={p}; "
-                             "reduce p") from e
-    X = sla.solve_triangular(L, H1, lower=True)
-    W = sla.solve_triangular(L, X.T, lower=True).T
-    W = (W + W.T) / 2.0
-    nodes = np.linalg.eigvalsh(W)[::-1]
-    V = np.stack([nodes ** r / mu[r] for r in range(2 * p)])
-    b = np.ones(2 * p)
-    w, *_ = np.linalg.lstsq(V, b, rcond=None)
-    return list(nodes), list(w)
-
-
-def _recurrence(mu, p):
+def _recurrence(mu, p, num=Fraction):
     """Three-term recurrence coefficients alpha_0..alpha_{p-1} and
     beta_0..beta_{p-1} of the monic orthogonal polynomials of the measure
     with moments mu_0..mu_{2p-1}, pi_{k+1} = (x - alpha_k) pi_k
     - beta_k pi_{k-1} with beta_0 = mu_0, by Gautschi's Chebyshev
-    algorithm in exact rational arithmetic.
+    algorithm in the arithmetic of the number type num (Fraction for exact
+    rationals, float for float64).
 
     sigma[l] = <pi_k, x^l> for l = k..2p-k-1. Its pivot sigma[k] =
     <pi_k, pi_k> is the ratio of consecutive Hankel determinants, so a
-    nonpositive pivot means H0 is not positive definite.
+    nonpositive pivot means H0 is not (numerically) positive definite.
     """
     n = 2 * p
-    prev, sigma = [0] * n, [Fraction(m) for m in mu[:n]]
+    prev, sigma = [0] * n, [num(m) for m in mu[:n]]
     alpha, beta = [], []
     for k in range(p):
         if sigma[k] <= 0:
@@ -196,14 +182,12 @@ def invert_moments(ms: MomentSequence, p: int,
                    precision: str = "standard") -> AtomicMeasure:
     """Solve the truncated Stieltjes moment problem for p atoms.
 
-    precision "standard": nodes from the generalized eigenproblem
-    H1 v = x H0 v (Cholesky reduction to an ordinary symmetric problem),
-    weights by least squares on the row-scaled Vandermonde system over
-    mu_0..mu_{2p-1}. precision "extended": the three-term recurrence
-    coefficients of mu_0..mu_{2p-1} in exact rational arithmetic (from the
-    exact moments when the sequence carries them, else from the float
-    moments taken exactly), then nodes and weights of the Gauss rule of the
-    Jacobi matrix from one float64 tridiagonal eigensolve.
+    The moments mu_0..mu_{2p-1} give the three-term recurrence coefficients
+    of the Jacobi matrix, and the nodes and weights are its Gauss rule from
+    one float64 tridiagonal eigensolve. precision picks the arithmetic of
+    the recurrence: "standard" runs it in float64, "extended" in exact
+    rationals (from the exact moments when the sequence carries them, else
+    from the float moments taken exactly).
 
     The requested p is capped by atom_count_cap; the effective value is in
     diagnostics["p_effective"].
@@ -215,7 +199,8 @@ def invert_moments(ms: MomentSequence, p: int,
     if 2 * p > ms.n_max + 1:
         raise ValueError(f"p={p} needs n_max >= {2*p-1}, have {ms.n_max}")
     ms.validate()
-    if precision == "extended" and ms.mu_exact is not None:
+    exact = precision == "extended" and ms.mu_exact is not None
+    if exact:
         # exact rational moments: the recurrence is exact and only the
         # float64 tridiagonal eigensolve rounds, so cap against a floor far
         # below the provenance one (the balanced sigma_min is still
@@ -227,18 +212,13 @@ def invert_moments(ms: MomentSequence, p: int,
     if cap < 1:
         raise InversionError("moment noise floor leaves no recoverable atoms")
     p_eff = min(p, cap)
-    if precision == "extended":
-        mu = ms.mu_exact if ms.mu_exact is not None else ms.mu
-        nodes, weights = _golub_welsch(*_recurrence(mu, p_eff))
-    else:
-        nodes, weights = _invert_standard(ms.mu, p_eff)
+    num = Fraction if precision == "extended" else float
+    mu = ms.mu_exact if exact else ms.mu
+    nodes, weights = _golub_welsch(*_recurrence(mu, p_eff, num))
 
     atoms = []
     dropped = []
     for x, w in zip(nodes, weights):
-        if w < -1e-8 * ms.mu[0]:
-            raise InversionError(f"negative weight {w:.3e} at node {x:.3e}; "
-                                 f"reject p={p_eff}")
         if x <= 0 or w < SPURIOUS_WEIGHT * ms.mu[0]:
             dropped.append((x, w))
             continue

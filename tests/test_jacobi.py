@@ -1,10 +1,8 @@
 """Kernels of the Stieltjes inversion on the Hilbert matrix, the Hankel
 matrix of the Lebesgue measure on [0, 1] (mu_n = 1/(n+1)), whose
-recurrence and Gauss rule are known in closed form.
-
-The module name is historical: these kernels (the exact recurrence, the
-standard path's Cholesky reduction and the Golub-Welsch Jacobi-matrix
-eigensolve) replaced a double-double (ddouble) factorization.
+recurrence and Gauss rule are known in closed form: the Chebyshev-algorithm
+recurrence in exact rationals and in float64, and the Golub-Welsch
+Jacobi-matrix eigensolve that turns it into nodes and weights.
 """
 
 from fractions import Fraction
@@ -12,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from exitspec.stieltjes import _golub_welsch, _invert_standard, _recurrence
+from exitspec.stieltjes import _golub_welsch, _recurrence
 
 
 def hilbert_moments(n):
@@ -59,13 +57,13 @@ def test_cholesky_reconstructs_hilbert():
             assert v == (D[j] if j == k else 0)
 
 
-def test_triangular_solves():
-    # the standard path reduces H1 v = x H0 v to W = L^{-1} H1 L^{-T} by two
-    # triangular solves against the Cholesky factor of H0; on the Hilbert
-    # section its nodes and weights are the Gauss-Legendre rule on [0, 1]
+def test_float_recurrence_gauss_legendre():
+    # the standard path runs the recurrence in float64 before the same
+    # Golub-Welsch eigensolve; on the Hilbert section its nodes and weights
+    # are the Gauss-Legendre rule on [0, 1]
     p = 4
     mu = [float(m) for m in hilbert_moments(2 * p)]
-    nodes, weights = _invert_standard(mu, p)
+    nodes, weights = _golub_welsch(*_recurrence(mu, p, float))
     want_x, want_w = gauss_legendre_01(p)
     assert nodes == pytest.approx(want_x, rel=1e-11)
     assert weights == pytest.approx(want_w, rel=1e-11)

@@ -90,9 +90,21 @@ class TestPde:
             assert ms.A[k] == pytest.approx(ref.A[k], rel=1e-4)
 
 
-def test_validate_rejects_bad_sequences():
+def test_validate_rejects_bad_sequences(capfd):
     with pytest.raises(ValueError):
         es.MomentSequence([1.0, -0.5], "pde").validate()
+    A = es.analytic_moments(es.Interval(0, 1), 5).A
+    for bad in (math.nan, math.inf, -math.inf):
+        ms = es.MomentSequence(A[:3] + [bad] + A[4:], "pde")
+        with pytest.raises(ValueError, match="A_3 .* not finite"):
+            ms.validate()
+        for precision in ("standard", "extended"):
+            with pytest.raises(ValueError, match="A_3"):
+                es.invert_moments(ms, 3, precision)
+        with pytest.raises(ValueError, match="A_3"):
+            es.hankel_psd_check(ms, 3)
+    # rejected before any LAPACK call can complain on stderr
+    assert capfd.readouterr().err == ""
 
 
 def test_lambda1_estimated_from_tail():

@@ -127,10 +127,39 @@ class TestInvert:
             -math.prod(x for x, _ in atoms)
 
     def test_recurrence_rejects_indefinite_hankel(self):
-        # moments of a signed measure: the second pivot is negative
+        # moments of a signed measure: the second pivot is negative; those
+        # of one atom at 1/2 leave the second pivot exactly zero, in float
+        # as well as in rationals
         ms = atomic_sequence([(1.0, 1.0), (2.0, -0.5)], 3)
-        with pytest.raises(es.InversionError, match="rank deficient"):
-            _recurrence(ms.mu, 2)
+        for num in (Fraction, float):
+            for mu in (ms.mu, [1.0, 0.5, 0.25, 0.125]):
+                with pytest.raises(es.InversionError, match="rank deficient"):
+                    _recurrence(mu, 2, num)
+
+    @pytest.mark.parametrize("precision", ["standard", "extended"])
+    @pytest.mark.parametrize("spec, d", [(es.Interval(0, 1), 1),
+                                         (es.Rectangle(1, 1.3), 2),
+                                         (es.Disk(1), 2)],
+                             ids=["interval", "rectangle", "disk"])
+    def test_dilation_covariance(self, spec, d, precision):
+        """Dilating the domain by c scales A_n by c^(2n+d), the atoms' nodes
+        x = 2/lambda by c^2 and their weights by c^d. With c a power of two
+        every float scaling is exact, so the inversion must commute with it
+        to rounding."""
+        A = es.analytic_moments(spec, 15).A
+        base = es.invert_moments(es.MomentSequence(A, "analytic"), 8,
+                                 precision)
+        for k in range(-10, 11):
+            ms = es.MomentSequence(
+                [math.ldexp(a, k * (2 * n + d)) for n, a in enumerate(A)],
+                "analytic")
+            am = es.invert_moments(ms, 8, precision)
+            assert am.diagnostics["p_effective"] == \
+                base.diagnostics["p_effective"]
+            assert am.p == base.p
+            for (x, w), (x0, w0) in zip(am.atoms, base.atoms):
+                assert x == pytest.approx(math.ldexp(x0, 2 * k), rel=1e-13)
+                assert w == pytest.approx(math.ldexp(w0, d * k), rel=1e-13)
 
     @pytest.mark.parametrize("L", [1e-3, 1.0, 1e3])
     def test_extended_nodes_bracket_gauss_nodes(self, L):
