@@ -11,7 +11,7 @@ import numpy as np
 import scipy.special as special
 
 from .geometry import Grid, DomainSpec
-from .discrete_ops import SolverError, assemble_half_laplacian
+from .discrete_ops import SolverError, assemble_half_laplacian, exact_sum
 from .moments import MomentSequence
 from .spectral import SpectralData
 
@@ -147,12 +147,12 @@ def heat_content_timestep(grid: Grid, times, dt: float) -> HeatContentCurve:
         # damping wins, so the band is deliberately loose
         if float(u.max()) > 1.0 + 1e-3 or float(u.min()) < -1e-3:
             raise SolverError("time stepper left [0, 1]: maximum principle broken")
-        due = np.where((times > tprev) & (times <= limit + 1e-15))[0]
+        due = np.where((times > tprev) & (times <= limit + 1e-9 * dt))[0]
         qnow = None
         if len(due):
             if qprev is None:
-                qprev = math.fsum(sqrtw * zprev)
-            qnow = math.fsum(sqrtw * z)
+                qprev = exact_sum(sqrtw * zprev)
+            qnow = exact_sum(sqrtw * z)
         for i in due:
             frac = (times[i] - tprev) / (t - tprev) if t > tprev else 1.0
             qs[i] = qprev + frac * (qnow - qprev)
@@ -164,13 +164,15 @@ def heat_content_timestep(grid: Grid, times, dt: float) -> HeatContentCurve:
         t += dt / 2.0
     record_upto(t)
     t_end = float(times[-1])
-    while t < t_end - 1e-12:
+    while t < t_end - 1e-6 * dt:
         z = 2.0 * sigma * lu.solve(z) - z
         t += dt
         record_upto(t)
     # accumulated t may stop a few ulp short of t_end, leaving the last
-    # sample in the gap between the loop slack (1e-12) and the record
-    # slack (1e-15); close it with the final state
+    # sample in the gap between the loop slack (1e-6 dt) and the record
+    # slack (1e-9 dt); close it with the final state. Both slacks scale
+    # with dt, so dilating the domain and the times leaves the steps as
+    # they are
     if tprev < t_end:
         record_upto(t_end)
     return HeatContentCurve(times, qs, "timestep")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .geometry import Interval, Rectangle, Disk, DomainSpec, Grid, build_radial_grid
 from .discrete_ops import (Field, SolverError, assemble_half_laplacian,
-                           integrate, solve_poisson)
+                           exact_sum, integrate, solve_poisson)
 
 
 class MomentSequence:
@@ -207,7 +207,7 @@ def analytic_moments(spec: DomainSpec, n_max: int) -> MomentSequence:
                                          * np.pi ** 4)
         mu = [spec.volume()]
         for n in range(1, n_max + 1):
-            mu.append(math.fsum((a2 * (2.0 / lam) ** n).ravel()))
+            mu.append(exact_sum(a2 * (2.0 / lam) ** n))
         lam1 = np.pi ** 2 * (1.0 / spec.Lx ** 2 + 1.0 / spec.Ly ** 2)
         A = [m * math.factorial(n) for n, m in enumerate(mu)]
         return MomentSequence(A, "analytic", lambda1=lam1)
@@ -218,7 +218,7 @@ def analytic_moments(spec: DomainSpec, n_max: int) -> MomentSequence:
         a2 = 4.0 * math.pi * spec.R ** 2 / j0 ** 2
         mu = [spec.volume()]
         for n in range(1, n_max + 1):
-            mu.append(math.fsum(a2 * (2.0 / lam) ** n))
+            mu.append(exact_sum(a2 * (2.0 / lam) ** n))
         A = [m * math.factorial(n) for n, m in enumerate(mu)]
         return MomentSequence(A, "analytic", lambda1=float(lam[0]))
     raise ValueError(f"no closed-form moments for {spec!r}")

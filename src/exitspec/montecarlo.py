@@ -18,9 +18,9 @@ so its arrays stay a few MB. A path is NaN exactly when it has not left D
 within STEP_CAP steps.
 
 Reproducibility contract: path i draws from a Philox stream keyed
-(base_seed, i), consumed in simulation order (start-point rejection draws
-first where applicable, then dim normals per step); estimator reductions
-run in fixed path-index order. Worker count, chunk and pass sizes cannot
+(base_seed mod 2^64, i), consumed in simulation order (start-point
+rejection draws first where applicable, then dim normals per step);
+estimator reductions run in fixed path-index order. Worker count, chunk and pass sizes cannot
 change any estimate bit-for-bit.
 """
 
@@ -62,6 +62,8 @@ class SimConfig:
         self.paths = int(paths)
         self.dt = float(dt)
         self.seed = int(seed)
+        if not -2 ** 63 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed {seed} is outside [-2^63, 2^64)")
 
     def describe(self):
         return {
@@ -201,8 +203,10 @@ def _run_chunk(cfg, lo, hi, block_steps):
     dt = cfg.dt
     sqdt = math.sqrt(dt)
     count = hi - lo
-    gens = [np.random.Generator(np.random.Philox(key=[cfg.seed, lo + i]))
-            for i in range(count)]
+    keys = np.empty((count, 2), dtype=np.uint64)
+    keys[:, 0] = cfg.seed % 2 ** 64
+    keys[:, 1] = np.arange(lo, hi)
+    gens = [np.random.Generator(np.random.Philox(key=k)) for k in keys]
     if cfg.x0 is None:
         pos = _start_points(spec, gens)
     else:

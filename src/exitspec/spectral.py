@@ -14,8 +14,8 @@ import math
 import numpy as np
 
 from .geometry import Interval, Rectangle, Disk, DomainSpec, Grid
-from .discrete_ops import (Field, assemble_half_laplacian, integrate,
-                           lowest_eigenpairs)
+from .discrete_ops import (Field, assemble_half_laplacian, exact_sum,
+                           integrate, lowest_eigenpairs)
 
 CLUSTER_REL_TOL = 1e-6
 ZERO_TOL_DEFAULT = 1e-6
@@ -177,7 +177,7 @@ def numeric_spectrum(grid: Grid, m: int, tol: float = 1e-8) -> SpectralData:
         lam = math.fsum(lams[i] for i in grp) / len(grp)
         a2 = math.fsum(integrate(pairs[i][1]) ** 2 for i in grp)
         entries.append((lam, len(grp), a2))
-    vol = math.fsum(grid.weights)
+    vol = exact_sum(grid.weights)
     return SpectralData(entries, "numeric", volume=vol)
 
 

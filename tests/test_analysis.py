@@ -77,6 +77,23 @@ class TestHeatContent:
         tail = np.abs(np.asarray(num.q)[-5:] - np.asarray(ref.q)[-5:])
         assert tail.max() < 2e-3
 
+    @pytest.mark.parametrize("shape", ["interval", "square"])
+    def test_timestep_dilation_covariance(self, shape):
+        # dilating by c = 2^k scales the grid, the times and dt exactly, so
+        # q(t)/c^d must follow the unit-scale curve; an absolute time slack
+        # ends the stepping hundreds of steps early at small c
+        def curve(c):
+            spec = es.Interval(0, c) if shape == "interval" else es.Rectangle(c, c)
+            g = es.build_grid(spec, c / 64)
+            times = c * c * np.linspace(0.01, 0.1, 5)
+            q = es.heat_content_timestep(g, times, dt=c * c * 1e-3).q
+            return np.asarray(q) / c ** spec.dim
+
+        ref = curve(1.0)
+        worst = max(np.abs(curve(2.0 ** k) / ref - 1.0).max()
+                    for k in range(-20, 21))
+        assert worst <= 1e-14
+
     def test_timestep_monotone_decay(self):
         g = es.build_grid(es.Rectangle(1, 1), 1 / 32)
         times = np.linspace(0.02, 0.4, 12)

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from hypothesis import given, settings, strategies as st
 
 import exitspec as es
+import exitspec.discrete_ops as dops
+from exitspec.discrete_ops import exact_sum
 
 
 def test_operator_symmetry_and_sign():
@@ -135,6 +138,71 @@ def test_integrate_and_inner():
     x = es.Field(g, np.asarray(g.nodes, dtype=float))
     # open-lattice quadrature of x: h^2 (1 + ... + 63) = 63/128 exactly
     assert es.inner(one, x) == pytest.approx(63 / 128, rel=1e-15)
+
+
+def _sum_outcome(fn, values):
+    """The float's bits (hex keeps the sign of zero), or the error type."""
+    try:
+        return fn(np.asarray(values, dtype=float)).hex()
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__
+
+
+def _same_as_fsum(values):
+    assert _sum_outcome(exact_sum, values) == _sum_outcome(math.fsum, values)
+
+
+# m 2^e with |m| < 1 and e over the whole exponent range, so terms run from
+# subnormal to the edge of overflow
+_spread = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1023))
+# exact ties: a 53-bit odd significand plus or minus half its last place
+_tie = st.builds(lambda m, e, s: [math.ldexp(m, e), s * math.ldexp(1.0, e - 1)],
+                 st.integers(2 ** 52, 2 ** 53 - 1).map(lambda m: m | 1),
+                 st.integers(-1074, 960), st.sampled_from([-1.0, 1.0]))
+
+
+class TestExactSum:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_spread | st.floats(allow_nan=False, allow_infinity=False),
+                    max_size=300))
+    def test_matches_fsum_across_the_float_range(self, values):
+        _same_as_fsum(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-2 ** 53, 2 ** 53).map(
+               lambda i: math.ldexp(i, -1074)), max_size=200),
+           st.lists(_tie, max_size=4), st.lists(st.floats(1e-3, 1e3), max_size=20))
+    def test_matches_fsum_on_subnormals_ties_and_cancellation(self, subs, ties,
+                                                             pairs):
+        # pairs cancel exactly, leaving the ties and subnormals to round
+        values = subs + [v for t in ties for v in t] + pairs + [-p for p in pairs]
+        _same_as_fsum(values)
+        _same_as_fsum([v for t in ties for v in t] + pairs + [-p for p in pairs])
+
+    def test_empty_zeros_and_overflow(self):
+        for values in ([], [0.0], [-0.0], [0.0] * 7, [-0.0, -0.0],
+                       [5e-324, -5e-324], [2.0 ** -1074] * 3,
+                       [1.7e308, 1.7e308, -1.7e308], [1.7e308, 1.7e308],
+                       [1.7976931348623157e308, 1e292]):
+            _same_as_fsum(values)
+        assert exact_sum([]) == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(-1e300, 1e300), max_size=30),
+           st.lists(st.sampled_from([math.nan, math.inf, -math.inf]),
+                    min_size=1, max_size=3))
+    def test_non_finite_terms_behave_as_fsum(self, finite, special):
+        _same_as_fsum(finite + special)
+        _same_as_fsum(special + finite)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_spread, max_size=40), st.integers(1, 8))
+    def test_slice_boundaries(self, values, size):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dops, "EXACT_SUM_SLICE", size)
+            _same_as_fsum(values)
+            for n in (size - 1, size, size + 1, 2 * size, 2 * size + 1):
+                _same_as_fsum(values[:max(n, 0)])
 
 
 def test_field_value_at():

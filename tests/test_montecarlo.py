@@ -36,6 +36,9 @@ class TestConfig:
             es.SimConfig(iv, [0.5], 0, 1e-3, seed=1)
         with pytest.raises(ValueError):
             es.SimConfig(iv, [0.5], 10, 0.0, seed=1)
+        for seed in (2 ** 64, -2 ** 63 - 1):
+            with pytest.raises(ValueError):
+                es.SimConfig(iv, [0.5], 10, 1e-3, seed=seed)
         cfg = es.SimConfig(iv, [0.5], 10, 1e-3, seed=1)
         for kw in ({"block_steps": 0}, {"chunk_paths": 0}):
             with pytest.raises(ValueError):
@@ -78,6 +81,15 @@ class TestDeterminism:
             "82f6eafb45d82a1aee9de12cb328707b521fc329b02070840c4792a9fa59931f")
         assert taus_sha256(uniform) == (
             "bfd0af30f13fce19afe541cd63b0c84de057b1bb991173b845f1363e89a259e4")
+
+    def test_seed_key_is_taken_mod_2_64(self):
+        """Seed -1 keys its streams with 2^64 - 1, so both seeds give the
+        same taus, pinned by hash."""
+        iv = es.Interval(0, 1)
+        for seed in (-1, 2 ** 64 - 1):
+            cfg = es.SimConfig(iv, [0.5], 50, 1e-3, seed=seed)
+            assert taus_sha256(cfg) == (
+                "ee3161e449cc48afb5d2c28c5bb6bc09709cda2feab7b7a8095dbf44f1974886")
 
     def test_walk_split_invariance(self):
         """A 1000-step walk advanced in pieces, carrying the last position,
