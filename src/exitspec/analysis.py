@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.special as special
 
 from .geometry import Grid, DomainSpec
 from .discrete_ops import SolverError, assemble_half_laplacian, exact_sum
@@ -125,8 +124,8 @@ def heat_content_timestep(grid: Grid, times, dt: float) -> HeatContentCurve:
     sigma)^{-1} z - z. Heat sums are formed only on steps that bracket a
     requested time; the maximum-principle check runs on every step.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     times = np.sort(np.asarray(times, dtype=float))
     if times[0] <= 0:
         raise ValueError("times must be positive")
@@ -234,6 +233,7 @@ def mellin_numeric(curve: HeatContentCurve, s: float, lambda1: float) -> float:
     # single-mode tail: q(t) ~ a1^2 exp(-lambda1 t/2) for t > T
     a1sq = q[-1] * math.exp(lambda1 * T / 2.0)
     x = lambda1 * T / 2.0
+    import scipy.special as special
     tail = a1sq * (2.0 / lambda1) ** s * special.gammaincc(s, x) * math.gamma(s)
     return main + tail
 

@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse as sparse
-import scipy.sparse.linalg as splinalg
 
 from .geometry import Grid
 
@@ -90,6 +88,8 @@ class DiscreteOperator:
         """
         lu = self._factors.get(shift)
         if lu is None:
+            import scipy.sparse as sparse
+            import scipy.sparse.linalg as splinalg
             A = self.sym
             if shift != 0.0:
                 A = A + shift * sparse.eye(self.n, format="csr")
@@ -129,6 +129,7 @@ def assemble_half_laplacian(grid: Grid) -> DiscreteOperator:
     """
     if grid._operator is not None:
         return grid._operator
+    import scipy.sparse as sparse
     n, h = grid.n, grid.h
     if grid.kind == "radial":
         # flux through the face at r_{i+1/2}; the factor pi (not 2 pi)
@@ -270,6 +271,7 @@ def lowest_eigenpairs(op: DiscreteOperator, m: int, tol: float = 1e-7):
         raise ValueError("m must be >= 1")
     if m > n - 2:
         raise SolverError(f"m={m} needs more than the {n} grid nodes")
+    import scipy.sparse.linalg as splinalg
     lu = op.factor(0.0)
     OPinv = splinalg.LinearOperator((n, n), matvec=lu.solve, dtype=float)
     v0 = np.random.default_rng(7042).standard_normal(n)

@@ -49,8 +49,8 @@ class SimConfig:
     """Domain, start point (None for uniform starts), paths, dt, seed."""
 
     def __init__(self, spec: DomainSpec, x0, paths: int, dt: float, seed: int):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {dt}")
         if paths < 1:
             raise ValueError("need at least one path")
         if x0 is not None:
@@ -264,6 +264,14 @@ def simulate_exit_times(cfg: SimConfig, workers: int = 1,
     return ExitSamples(cfg, np.concatenate([t for t, _ in results]), stats)
 
 
+def _finite_taus(samples: ExitSamples):
+    """The exit times of the paths that left D; McError when none did."""
+    taus = samples.finite()
+    if not len(taus):
+        raise McError(f"all {samples.excluded} paths hit the step cap")
+    return taus
+
+
 def _mean_se(values):
     n = len(values)
     mean = math.fsum(values) / n
@@ -302,7 +310,7 @@ def mc_survival(cfg: SimConfig, t: float, samples: ExitSamples = None) -> McEsti
         raise ValueError("t must be positive")
     if samples is None:
         samples = simulate_exit_times(cfg)
-    taus = samples.finite()
+    taus = _finite_taus(samples)
     n = len(taus)
     phat = float(np.count_nonzero(taus > t)) / n
     se = math.sqrt(max(phat * (1.0 - phat), 0.0) / n)
@@ -315,7 +323,7 @@ def mc_laplace(cfg: SimConfig, s: float, samples: ExitSamples = None) -> McEstim
         raise ValueError("s must be >= 0")
     if samples is None:
         samples = simulate_exit_times(cfg)
-    taus = samples.finite()
+    taus = _finite_taus(samples)
     vals = np.exp(-s * taus)
     mean, se = _mean_se(vals)
     return McEstimate(mean, se, len(taus), cfg.dt, f"laplace(s={s:g})")

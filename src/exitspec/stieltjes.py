@@ -18,7 +18,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg as sla
 
 from .analysis import HeatContentCurve
 from .moments import MomentSequence
@@ -171,6 +170,7 @@ def _golub_welsch(alpha, beta):
     matrix with diagonal alpha and off-diagonal sqrt(beta_1..): its
     eigenvalues, and beta_0 times the squared first eigenvector
     components."""
+    import scipy.linalg as sla
     d = np.array([float(a) for a in alpha])
     e = np.sqrt([float(b) for b in beta[1:]])
     nodes, V = sla.eigh_tridiagonal(d, e)

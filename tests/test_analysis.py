@@ -94,6 +94,14 @@ class TestHeatContent:
                     for k in range(-20, 21))
         assert worst <= 1e-14
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+    def test_timestep_rejects_non_finite_dt(self, dt):
+        # NaN would reach SuperLU as a singular factor, inf would step
+        # silently with sigma = 0
+        g = es.build_grid(es.Rectangle(1, 1), 1 / 16)
+        with pytest.raises(ValueError, match="finite"):
+            es.heat_content_timestep(g, [0.1, 0.2], dt=dt)
+
     def test_timestep_monotone_decay(self):
         g = es.build_grid(es.Rectangle(1, 1), 1 / 32)
         times = np.linspace(0.02, 0.4, 12)

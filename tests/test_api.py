@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import exitspec as es
 
 PUBLIC_API = [
@@ -25,3 +31,27 @@ def test_public_api_is_pinned():
     assert es.__all__ == PUBLIC_API
     for name in PUBLIC_API:
         assert hasattr(es, name), name
+
+
+# run in a fresh interpreter, where no test plugin has imported scipy yet
+FOOTPRINT_PROBE = """
+import json, sys
+import exitspec as es, exitspec.cli
+cfg = es.SimConfig(es.Interval(0, 1), [0.5], 64, 1e-3, seed=1)
+s = es.simulate_exit_times(cfg)
+es.mc_survival(cfg, 0.1, samples=s)
+es.mc_laplace(cfg, 1.0, samples=s)
+es.mc_moments(s, 1)
+heavy = ("scipy.sparse", "scipy.linalg", "scipy.special")
+print(json.dumps(sorted(m for m in sys.modules if m.startswith(heavy))))
+"""
+
+
+def test_import_and_monte_carlo_load_no_scipy_submodule():
+    """scipy's sparse, linalg and special load on first use, so importing
+    the package and the CLI and a Monte Carlo run never pay for them."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", FOOTPRINT_PROBE],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == []

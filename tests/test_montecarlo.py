@@ -44,6 +44,13 @@ class TestConfig:
             with pytest.raises(ValueError):
                 es.simulate_exit_times(cfg, **kw)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+    def test_non_finite_dt_rejected(self, dt):
+        # a NaN dt would walk every path to STEP_CAP, and sqrt(inf) makes
+        # every first step land outside D
+        with pytest.raises(ValueError, match="finite"):
+            es.SimConfig(es.Interval(0, 1), [0.5], 4, dt, seed=1)
+
     def test_describe_names_the_stream_rule(self):
         cfg = es.SimConfig(es.Interval(0, 1), [0.5], 10, 1e-3, seed=9)
         text = json.dumps(cfg.describe())
@@ -144,6 +151,18 @@ class TestSamples:
         assert np.isnan(s.taus).any()
         with pytest.raises(es.McError):
             es.mc_moments(s, 1)
+
+    def test_fully_capped_samples_raise_mc_error(self, monkeypatch):
+        # no path exits, so no estimator has a sample to average over
+        monkeypatch.setattr(mcmod, "STEP_CAP", 4)
+        cfg = es.SimConfig(es.Interval(0, 1), [0.5], 8, 1e-6, seed=3)
+        s = es.simulate_exit_times(cfg)
+        assert s.excluded == 8
+        for estimate in (lambda: es.mc_survival(cfg, 0.1, samples=s),
+                         lambda: es.mc_laplace(cfg, 1.0, samples=s),
+                         lambda: es.mc_moments(s, 1)):
+            with pytest.raises(es.McError, match="8 paths hit the step cap"):
+                estimate()
 
     def test_step_cap_independent_of_blocks(self, monkeypatch):
         """A path is NaN exactly when it has not exited within STEP_CAP
