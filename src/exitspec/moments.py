@@ -155,32 +155,60 @@ def laplace_transform(grid: Grid, s: float, tol: float = 1e-11) -> Field:
 # closed-form moment sequences for the separable domains
 
 
+# scale-free tables of the closed forms, built on first use and shared by
+# every call: the first 2000 zeros of J_0, and the unit-interval mu_n with
+# the Bernoulli numbers they come from. Both tables are prefix-stable, so
+# they only ever grow, and a call takes a slice.
+_J0_ZEROS = None
+_BERNOULLI = (Fraction(1),)
+_INTERVAL_MU = ()
+
+
+def _j0_zeros():
+    """The first 2000 positive zeros of J_0 as a read-only array."""
+    global _J0_ZEROS
+    if _J0_ZEROS is None:
+        import scipy.special as special
+        j0 = special.jn_zeros(0, 2000)
+        j0.flags.writeable = False
+        _J0_ZEROS = j0
+    return _J0_ZEROS
+
+
 def _bernoulli_fractions(n_max):
     """B_0..B_{n_max} as exact fractions, via the defining recurrence."""
-    B = [Fraction(1)]
-    for m in range(1, n_max + 1):
+    global _BERNOULLI
+    B = list(_BERNOULLI)
+    for m in range(len(B), n_max + 1):
         s = Fraction(0)
         for k in range(m):
             s += math.comb(m + 1, k) * B[k]
         B.append(-s / (m + 1))
-    return B
+    if len(B) > len(_BERNOULLI):
+        _BERNOULLI = tuple(B)
+    return B[:n_max + 1]
 
 
 def _interval_mu_exact(n_max):
-    """mu_n of the unit interval as exact rationals.
+    """mu_0..mu_{n_max} of the unit interval as a fresh list of exact
+    rationals.
 
     mu_n = sum over odd k of 8/(k pi)^2 * (2/(k pi)^2)^n, which evaluates in
     closed form through the even zeta values:
     mu_n = 8 * 2^n * (1 - 4^{-(n+1)}) * (-1)^n * B_{2n+2} * 2^{2n+1} / (2n+2)!.
     """
-    B = _bernoulli_fractions(2 * n_max + 2)
-    out = []
-    for n in range(n_max + 1):
-        val = (Fraction(8) * Fraction(2) ** n * (1 - Fraction(1, 4 ** (n + 1)))
-               * (-1) ** n * B[2 * n + 2]
-               * Fraction(2 ** (2 * n + 1), math.factorial(2 * n + 2)))
-        out.append(val)
-    return out
+    global _INTERVAL_MU
+    table = _INTERVAL_MU
+    if len(table) <= n_max:
+        B = _bernoulli_fractions(2 * n_max + 2)
+        out = list(table)
+        for n in range(len(out), n_max + 1):
+            out.append(Fraction(8) * Fraction(2) ** n
+                       * (1 - Fraction(1, 4 ** (n + 1)))
+                       * (-1) ** n * B[2 * n + 2]
+                       * Fraction(2 ** (2 * n + 1), math.factorial(2 * n + 2)))
+        table = _INTERVAL_MU = tuple(out)
+    return list(table[:n_max + 1])
 
 
 def analytic_moments(spec: DomainSpec, n_max: int) -> MomentSequence:
@@ -188,8 +216,11 @@ def analytic_moments(spec: DomainSpec, n_max: int) -> MomentSequence:
 
     Interval values are exact rationals (scaled by length); rectangle and
     disk use spectral sums with mu_0 pinned to the exact volume (the n >= 1
-    sums converge rapidly, the mass sum does not).
+    sums converge rapidly, the mass sum does not). A negative n_max raises
+    ValueError.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     if isinstance(spec, Interval):
         L = spec.b - spec.a
         exact = _interval_mu_exact(n_max)
@@ -212,8 +243,7 @@ def analytic_moments(spec: DomainSpec, n_max: int) -> MomentSequence:
         A = [m * math.factorial(n) for n, m in enumerate(mu)]
         return MomentSequence(A, "analytic", lambda1=lam1)
     if isinstance(spec, Disk):
-        import scipy.special as special
-        j0 = special.jn_zeros(0, 2000)
+        j0 = _j0_zeros()
         lam = j0 ** 2 / spec.R ** 2
         a2 = 4.0 * math.pi * spec.R ** 2 / j0 ** 2
         mu = [spec.volume()]

@@ -264,14 +264,6 @@ def simulate_exit_times(cfg: SimConfig, workers: int = 1,
     return ExitSamples(cfg, np.concatenate([t for t, _ in results]), stats)
 
 
-def _finite_taus(samples: ExitSamples):
-    """The exit times of the paths that left D; McError when none did."""
-    taus = samples.finite()
-    if not len(taus):
-        raise McError(f"all {samples.excluded} paths hit the step cap")
-    return taus
-
-
 def _mean_se(values):
     n = len(values)
     mean = math.fsum(values) / n
@@ -305,28 +297,38 @@ def mc_moments(samples: ExitSamples, n_max: int) -> MomentSequence:
 
 
 def mc_survival(cfg: SimConfig, t: float, samples: ExitSamples = None) -> McEstimate:
-    """P^{x0}(tau > t) with binomial standard error."""
+    """P^{x0}(tau > t) with binomial standard error. A path cut by the step
+    cap has survived past t when t < STEP_CAP * dt and counts as a
+    survivor; at a later t, capped paths raise McError."""
     if t <= 0:
         raise ValueError("t must be positive")
     if samples is None:
         samples = simulate_exit_times(cfg)
-    taus = _finite_taus(samples)
-    n = len(taus)
-    phat = float(np.count_nonzero(taus > t)) / n
+    if samples.excluded and not t < STEP_CAP * cfg.dt:
+        raise McError(f"{samples.excluded} paths hit the step cap before "
+                      f"t={t:g}; their survival is unknown")
+    n = len(samples.taus)
+    phat = float(np.count_nonzero(samples.finite() > t) + samples.excluded) / n
     se = math.sqrt(max(phat * (1.0 - phat), 0.0) / n)
     return McEstimate(phat, se, n, cfg.dt, f"survival(t={t:g})")
 
 
 def mc_laplace(cfg: SimConfig, s: float, samples: ExitSamples = None) -> McEstimate:
-    """E^{x0}[exp(-s tau)], the Laplace transform at s."""
+    """E^{x0}[exp(-s tau)], the Laplace transform at s. A path cut by the
+    step cap counts as 0 when exp(-s * STEP_CAP * dt) underflows to 0.0;
+    otherwise capped paths raise McError."""
     if s < 0:
         raise ValueError("s must be >= 0")
     if samples is None:
         samples = simulate_exit_times(cfg)
-    taus = _finite_taus(samples)
-    vals = np.exp(-s * taus)
+    if samples.excluded and math.exp(-s * STEP_CAP * cfg.dt) != 0.0:
+        raise McError(f"{samples.excluded} paths hit the step cap; "
+                      f"exp(-s tau) at s={s:g} is not 0 for them")
+    vals = np.exp(-s * samples.finite())
+    if samples.excluded:
+        vals = np.concatenate([vals, np.zeros(samples.excluded)])
     mean, se = _mean_se(vals)
-    return McEstimate(mean, se, len(taus), cfg.dt, f"laplace(s={s:g})")
+    return McEstimate(mean, se, len(vals), cfg.dt, f"laplace(s={s:g})")
 
 
 def estimates_to_json(path, cfg: SimConfig, estimates):

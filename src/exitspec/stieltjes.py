@@ -141,19 +141,20 @@ def _recurrence(mu, p, num=Fraction):
     with moments mu_0..mu_{2p-1}, pi_{k+1} = (x - alpha_k) pi_k
     - beta_k pi_{k-1} with beta_0 = mu_0, by Gautschi's Chebyshev
     algorithm in the arithmetic of the number type num (Fraction for exact
-    rationals, float for float64).
+    rationals, which run on integer rows in _exact_recurrence, float for
+    float64).
 
     sigma[l] = <pi_k, x^l> for l = k..2p-k-1. Its pivot sigma[k] =
     <pi_k, pi_k> is the ratio of consecutive Hankel determinants, so a
     nonpositive pivot means H0 is not (numerically) positive definite.
     """
+    if num is Fraction:
+        return _exact_recurrence(mu, p)
     n = 2 * p
     prev, sigma = [0] * n, [num(m) for m in mu[:n]]
     alpha, beta = [], []
     for k in range(p):
-        if sigma[k] <= 0:
-            raise InversionError(f"H0 numerically rank deficient at p={p}; "
-                                 "reduce p")
+        _check_pivot(sigma[k], k, p)
         # at k = 0 the previous row is sigma_{-1} = 0
         alpha.append(sigma[k + 1] / sigma[k]
                      - (prev[k] / prev[k - 1] if k else 0))
@@ -162,6 +163,64 @@ def _recurrence(mu, p, num=Fraction):
         prev, sigma = sigma, [0] * (k + 1) + [
             sigma[l + 1] - a * sigma[l] - b * prev[l]
             for l in range(k + 1, n - k - 1)]
+    return alpha, beta
+
+
+def _check_pivot(pivot, k, p):
+    if pivot <= 0:
+        raise InversionError(f"H0 numerically rank deficient at p={p} "
+                             f"(pivot k={k}); reduce p")
+
+
+def _exact_recurrence(mu, p):
+    """The Chebyshev algorithm of _recurrence in exact rationals, with each
+    sigma row held as Python-int numerators s over one positive
+    denominator d, sigma[l] = s[l] / d.
+
+    alpha_k and beta_k are ratios within a row and across rows, so d only
+    enters beta. With the previous row (r, e), the update
+    sigma'[l] = sigma[l+1] - alpha_k sigma[l] - beta_k prev[l], multiplied
+    through by s[k] r[k-1], is integer multiply and subtract:
+    s'[l] = s[k] r[k-1] s[l+1] - (s[k+1] r[k-1] - r[k] s[k]) s[l]
+    - s[k]^2 r[l] over d' = d s[k] r[k-1], reduced by one gcd per row.
+
+    Moments that are not all dyadic (exact rationals, not floats) run as
+    those of x q with q = mu_0 / mu_1, mu_l q^l, which give alpha_k q and
+    beta_k q^2 for k > 0 and keep every pivot's sign. An interval's exact
+    moments carry L^(2l+1) for its length L; the scaling cancels it, and
+    the rows stay hundreds of bits long instead of thousands. Float
+    moments would only grow by the digits of q.
+    """
+    n = 2 * p
+    ratios = [m.as_integer_ratio() for m in mu[:n]]
+    qn = qd = 1
+    if (n > 1 and mu[0] > 0 and mu[1] > 0
+            and any(b & (b - 1) for _, b in ratios)):
+        q = Fraction(mu[0]) / Fraction(mu[1])
+        qn, qd = q.as_integer_ratio()
+        ratios = [(Fraction(m) * q ** l).as_integer_ratio()
+                  for l, m in enumerate(mu[:n])]
+    d = math.lcm(*(b for _, b in ratios))
+    s = [a * (d // b) for a, b in ratios]
+    # the row before the first is sigma_{-1} = 0, with r[-1] = e = 1
+    r, e = [0] * n + [1], 1
+    alpha, beta = [], []
+    for k in range(p):
+        _check_pivot(s[k], k, p)
+        sk, rk1 = s[k], r[k - 1]
+        c = s[k + 1] * rk1 - r[k] * sk
+        alpha.append(Fraction(c * qd, sk * rk1 * qn))
+        beta.append(Fraction(sk * e * qd * qd, d * rk1 * qn * qn) if k
+                    else Fraction(sk, d))
+        if k == p - 1:
+            break
+        u, v = sk * rk1, sk * sk
+        row = [u * s[l + 1] - c * s[l] - v * r[l]
+               for l in range(k + 1, n - k - 1)]
+        dn = d * u
+        g = math.gcd(dn, *row)
+        r, e = s, d
+        s, d = [0] * (k + 1) + [x // g for x in row], dn // g
     return alpha, beta
 
 

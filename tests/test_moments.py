@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import exitspec as es
+from exitspec import moments
 
 import oracles
 
@@ -50,6 +53,91 @@ class TestAnalytic:
     def test_lambda1_attached(self):
         ms = es.analytic_moments(es.Interval(0, 1), 3)
         assert ms.lambda1 == pytest.approx(math.pi ** 2, rel=1e-14)
+
+    def test_negative_n_max_rejected(self):
+        tables = (moments._INTERVAL_MU, moments._BERNOULLI)
+        for spec in (es.Interval(0, 1), es.Rectangle(1, 2), es.Disk(1)):
+            with pytest.raises(ValueError, match="n_max"):
+                es.analytic_moments(spec, -1)
+        assert (moments._INTERVAL_MU, moments._BERNOULLI) == tables
+        assert es.analytic_moments(es.Interval(0, 1), 0).A == [1.0]
+
+
+SPECS = [es.Interval(0, 1), es.Interval(2, 2.37), es.Disk(1), es.Disk(0.3)]
+
+
+def fingerprint(spec, n_max):
+    ms = es.analytic_moments(spec, n_max)
+    return ms.A, ms.mu, ms.mu_exact, ms.lambda1
+
+
+def test_tables_do_not_depend_on_call_history(monkeypatch):
+    """The scale-free tables only grow, and a call reads a prefix: a small
+    request after a large one gives what it gives on empty tables."""
+    for name, empty in (("_INTERVAL_MU", ()), ("_BERNOULLI", (Fraction(1),)),
+                        ("_J0_ZEROS", None)):
+        monkeypatch.setattr(moments, name, empty)
+    small = [fingerprint(spec, 4) for spec in SPECS]
+    assert len(moments._INTERVAL_MU) == 5
+    for spec in SPECS:
+        fingerprint(spec, 21)
+    assert len(moments._INTERVAL_MU) == 22
+    assert len(moments._BERNOULLI) == 2 * 21 + 3
+    assert [fingerprint(spec, 4) for spec in SPECS] == small
+
+
+def test_returned_moments_do_not_alias_the_tables():
+    for spec in (es.Interval(0, 1), es.Interval(0, 3)):
+        want = list(es.analytic_moments(spec, 6).mu_exact)
+        got = es.analytic_moments(spec, 6).mu_exact
+        got[0] = Fraction(-1)
+        got.append(Fraction(7))
+        assert es.analytic_moments(spec, 6).mu_exact == want
+
+
+def test_tables_grow_safely_under_threads(monkeypatch):
+    """Threads that grow the interval table at once each get their own
+    full prefix, whichever of them stores its table last."""
+    monkeypatch.setattr(moments, "_INTERVAL_MU", ())
+    monkeypatch.setattr(moments, "_BERNOULLI", (Fraction(1),))
+    want = oracles.interval_exact_moments(24)
+    orders = [3 + (7 * i) % 22 for i in range(24)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as ex:
+            got = list(ex.map(lambda n: es.analytic_moments(
+                es.Interval(0, 1), n).mu_exact, orders, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for n, mu in zip(orders, got):
+        assert mu == want[:n + 1]
+
+
+def test_bessel_zeros_are_read_only():
+    es.analytic_moments(es.Disk(1), 1)
+    zeros = moments._J0_ZEROS
+    assert zeros.shape == (2000,) and not zeros.flags.writeable
+    with pytest.raises(ValueError):
+        zeros[0] = 0.0
+    assert zeros[0] == pytest.approx(2.404825557695773, rel=1e-15)
+
+
+@pytest.mark.parametrize("spec, d, dilate", [
+    (es.Interval(0, 1), 1, lambda c: es.Interval(0, c)),
+    (es.Rectangle(1, 1.3), 2, lambda c: es.Rectangle(c, 1.3 * c)),
+    (es.Disk(1), 2, lambda c: es.Disk(c))],
+    ids=["interval", "rectangle", "disk"])
+def test_analytic_moments_follow_dilations(spec, d, dilate):
+    """Dilating the domain by c = 2^k scales A_n by c^(2n+d) and lambda_1
+    by c^-2: no table may carry a scale of its own."""
+    base = es.analytic_moments(spec, 15)
+    for k in range(-10, 11):
+        c = 2.0 ** k
+        ms = es.analytic_moments(dilate(c), 15)
+        for n, (a, a0) in enumerate(zip(ms.A, base.A)):
+            assert a == pytest.approx(a0 * c ** (2 * n + d), rel=1e-14)
+        assert ms.lambda1 == pytest.approx(base.lambda1 / c ** 2, rel=1e-14)
 
 
 class TestPde:

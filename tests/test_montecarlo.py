@@ -164,6 +164,26 @@ class TestSamples:
             with pytest.raises(es.McError, match="8 paths hit the step cap"):
                 estimate()
 
+    def test_capped_paths_count_in_survival_and_laplace(self, monkeypatch):
+        """A capped path has not exited after STEP_CAP * dt = 0.16: it is a
+        survivor at t = 0.1 and exp(-s tau) is 0 for it once
+        exp(-s * 0.16) underflows. Where its value is unknown, it raises."""
+        monkeypatch.setattr(mcmod, "STEP_CAP", 16)
+        cfg = es.SimConfig(es.Interval(0, 1), [0.5], 32, 1e-2, seed=3)
+        s = es.simulate_exit_times(cfg)
+        assert s.excluded == 23
+        est = es.mc_survival(cfg, 0.1, samples=s)
+        assert est.paths == 32
+        assert est.value == (np.count_nonzero(s.finite() > 0.1) + 23) / 32
+        assert est.value == pytest.approx(0.906, abs=1e-3)
+        with pytest.raises(es.McError, match="23 paths hit the step cap"):
+            es.mc_survival(cfg, 0.16, samples=s)
+        with pytest.raises(es.McError, match="23 paths hit the step cap"):
+            es.mc_laplace(cfg, 1.0, samples=s)
+        est = es.mc_laplace(cfg, 1e4, samples=s)
+        assert est.paths == 32
+        assert est.value == math.fsum(np.exp(-1e4 * s.finite())) / 32
+
     def test_step_cap_independent_of_blocks(self, monkeypatch):
         """A path is NaN exactly when it has not exited within STEP_CAP
         steps, however the passes are sized."""

@@ -136,6 +136,62 @@ class TestInvert:
                 with pytest.raises(es.InversionError, match="rank deficient"):
                     _recurrence(mu, 2, num)
 
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_integer_rows_match_hankel_determinants_on_rational_atoms(
+            self, data):
+        m = data.draw(st.integers(1, 5), label="atoms")
+        fracs = st.fractions(min_value=Fraction(1, 1000),
+                             max_value=Fraction(1000), max_denominator=10 ** 6)
+        xs = data.draw(st.lists(fracs, min_size=m, max_size=m, unique=True),
+                       label="x")
+        ws = data.draw(st.lists(fracs, min_size=m, max_size=m), label="w")
+        p = data.draw(st.integers(1, m), label="p")
+        mu = [sum(w * x ** n for x, w in zip(xs, ws)) for n in range(2 * p)]
+        assert _recurrence(mu, p) == \
+            oracles.recurrence_from_hankel_determinants(mu, p)
+
+    @given(kind=st.sampled_from(["rectangle", "disk"]),
+           scale=st.floats(-3.0, 3.0), aspect=st.floats(1.0, 4.0),
+           p=st.integers(1, 6))
+    @settings(max_examples=25, deadline=None)
+    def test_integer_rows_match_hankel_determinants_on_float_moments(
+            self, kind, scale, aspect, p):
+        """Float moments are dyadic rationals, taken exactly. Where their
+        Hankel section is not positive definite the recurrence raises, at
+        the first nonpositive determinant ratio."""
+        s = 10.0 ** scale
+        spec = es.Rectangle(s, s * aspect) if kind == "rectangle" \
+            else es.Disk(s)
+        mu = es.analytic_moments(spec, 2 * p - 1).mu
+        alpha, beta = oracles.recurrence_from_hankel_determinants(mu, p)
+        bad = [k for k, b in enumerate(beta) if b <= 0]
+        if bad:
+            with pytest.raises(es.InversionError,
+                               match=rf"\(pivot k={bad[0]}\)"):
+                _recurrence(mu, p)
+        else:
+            assert _recurrence(mu, p) == (alpha, beta)
+
+    @pytest.mark.parametrize("atoms", [
+        [(1.0, 1.0), (2.0, -0.5)],
+        [(1.0, 1.0), (2.0, 0.5), (3.0, -0.05)],
+        [(0.5, 2.0), (1.5, 1.0), (2.5, 0.25), (4.0, -0.01)],
+        [(1.0, -1.0), (2.0, 0.5)]])
+    def test_signed_measure_fails_at_the_same_pivot_in_both_arithmetics(
+            self, atoms):
+        """Both arithmetics stop at the first nonpositive ratio of
+        consecutive Hankel determinants, pivot k with beta_k <= 0; so do
+        the exact moments over 3, which are not dyadic."""
+        p = len(atoms)
+        mu = [math.fsum(w * x ** n for x, w in atoms) for n in range(2 * p)]
+        _, beta = oracles.recurrence_from_hankel_determinants(mu, p)
+        k = next(k for k, b in enumerate(beta) if b <= 0)
+        for moments, num in ((mu, Fraction), (mu, float),
+                             ([Fraction(m) / 3 for m in mu], Fraction)):
+            with pytest.raises(es.InversionError, match=rf"\(pivot k={k}\)"):
+                _recurrence(moments, p, num)
+
     @pytest.mark.parametrize("precision", ["standard", "extended"])
     @pytest.mark.parametrize("spec, d", [(es.Interval(0, 1), 1),
                                          (es.Rectangle(1, 1.3), 2),
