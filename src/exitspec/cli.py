@@ -26,13 +26,13 @@ from . import __version__
 from .analysis import (asymptotic_fit, fit_window,
                        heat_content_spectral, heat_content_timestep,
                        verify_identities)
-from .discrete_ops import assemble_half_laplacian
-from .geometry import (Disk, GeometryError, Interval, Polygon, Rectangle,
-                       build_grid, build_radial_grid, perturb_polygon)
+from .discrete_ops import SolverError, assemble_half_laplacian
+from .geometry import (Disk, Interval, Polygon, Rectangle, build_grid,
+                       build_radial_grid, perturb_polygon)
 from .moments import (analytic_moments, carleman_diagnostic,
                       exit_moment_fields, moment_sequence)
-from .montecarlo import SimConfig, estimates_to_json, mc_laplace, mc_moments, \
-    mc_survival, simulate_exit_times
+from .montecarlo import McError, SimConfig, estimates_to_json, mc_laplace, \
+    mc_moments, mc_survival, simulate_exit_times
 from .spectral import (SpectralData, analytic_spectrum, essential_spectrum,
                        numeric_spectrum, property_m_report)
 from .stieltjes import (InversionError, hankel_psd_check, invert_moments,
@@ -222,6 +222,7 @@ class Runner:
                 "scipy": scipy.__version__,
             },
             "seed": self.cfg["mc.seed"],
+            "dump_operator": self.dump_operator,
             "outputs": {n: _sha256(self.out / n)
                         for n in sorted(set(self.written + ["config.txt"]))},
         }
@@ -557,7 +558,8 @@ def run_pipeline(cfg, out_dir, strict=False, dump_operator=False):
     r = Runner(cfg, out_dir, strict=strict, dump_operator=dump_operator)
     try:
         status = RUNNERS[name](r)
-    except (ConfigError, GeometryError, InversionError) as exc:
+    # ValueError covers ConfigError and GeometryError
+    except (ValueError, SolverError, InversionError, McError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return r.finish(name, 2)
     return r.finish(name, status)
@@ -567,7 +569,8 @@ def rerun_manifest(manifest_path, out_dir, strict=False):
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     cfg = parse_config(manifest["config"])
-    status = run_pipeline(cfg, out_dir, strict=strict)
+    status = run_pipeline(cfg, out_dir, strict=strict,
+                          dump_operator=manifest.get("dump_operator", False))
     if status != 0:
         return status
     out = Path(out_dir)

@@ -18,12 +18,15 @@ variable z = W^{1/2} u, where the quadrature inner product is the plain dot
 product. Eigenvalues of S are lambda/2 under the probabilist convention.
 
 Each grid keeps the one operator assemble_half_laplacian builds for it, so
-the operator and the factors it caches live as long as the grid.
+the operator and the factors it caches live as long as the grid. Lattice
+neighbours and Field.value_at both go through Grid.locate, so only geometry
+knows how lattice points are keyed.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
@@ -55,24 +58,23 @@ class Field:
         return Field(grid, np.zeros(grid.n))
 
     def value_at(self, coord):
-        """Value at exact node coordinates (lattice lookup)."""
-        grid = self.grid
-        if grid.kind == "radial":
-            i = int(round(coord / grid.h))
-            key = (i,)
-        else:
-            c = np.atleast_1d(np.asarray(coord, dtype=float))
-            key = tuple(int(round(x / grid.h)) for x in c)
-        if key not in grid.index:
+        """Value at the node nearest to coord on the lattice h*Z^d (for
+        radial grids, the ring nearest to radius coord); KeyError where
+        that lattice point is not an interior node."""
+        c = np.atleast_1d(np.asarray(coord, dtype=float))
+        i = self.grid.locate(np.rint(c / self.grid.h))
+        if i < 0:
             raise KeyError(f"{coord} is not an interior node")
-        return float(self.values[grid.index[key]])
+        return float(self.values[i])
 
 
 class DiscreteOperator:
     """Sparse symmetric form of -(1/2)Delta_h on a grid (Dirichlet eliminated)."""
 
     def __init__(self, grid, sym, weights):
-        self.grid = grid
+        # weak, because the grid keeps its operator: a strong reference back
+        # is a cycle that holds the LU factors until the cyclic gc runs
+        self._grid = weakref.ref(grid)
         self.sym = sym.tocsr()
         self.w = np.asarray(weights, dtype=float)
         self.sqrtw = np.sqrt(self.w)
@@ -96,6 +98,10 @@ class DiscreteOperator:
             lu = splinalg.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
             self._factors[shift] = lu
         return lu
+
+    @property
+    def grid(self):
+        return self._grid()
 
     @property
     def n(self):
@@ -122,9 +128,11 @@ class DiscreteOperator:
 def assemble_half_laplacian(grid: Grid) -> DiscreteOperator:
     """Standard 3-point (1D) / 5-point (2D) stencil scaled by 1/(2 h^2).
 
-    Neighbors outside the interior contribute zero (Dirichlet). Radial grids
-    get the finite-volume flux form of (1/2)(u'' + u'/r) with the symmetric
-    regularization u'(0) = 0; the returned matrix is the symmetrized S.
+    Neighbors come from grid.locate, axis 0 first and the -1 step before
+    the +1 step; those outside the interior contribute zero (Dirichlet).
+    Radial grids get the finite-volume flux form of (1/2)(u'' + u'/r) with
+    the symmetric regularization u'(0) = 0; the returned matrix is the
+    symmetrized S.
     Later calls for the same grid return the operator the first one built.
     """
     if grid._operator is not None:
@@ -143,23 +151,15 @@ def assemble_half_laplacian(grid: Grid) -> DiscreteOperator:
         S = sparse.diags(inv_sqrt) @ WM @ sparse.diags(inv_sqrt)
     else:
         c = 1.0 / (2.0 * h * h)
-        lat = np.asarray(grid.lattice, dtype=np.int64).reshape(n, -1)
-        # linear keys with a one-node margin on every axis, so a step off
-        # the lattice never aliases another node's key
-        lo = lat.min(axis=0) - 1
-        span = lat.max(axis=0) - lo + 2
-        stride = np.concatenate((np.cumprod(span[:0:-1])[::-1], [1]))
-        keys = (lat - lo) @ stride
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
+        d = grid.lattice.shape[1]
         rows, cols = [np.arange(n)], [np.arange(n)]
-        vals = [np.full(n, 2 * lat.shape[1] * c)]
-        for s in stride:
-            for nb in (keys - s, keys + s):
-                pos = np.minimum(np.searchsorted(sorted_keys, nb), n - 1)
-                hit = sorted_keys[pos] == nb
+        vals = [np.full(n, 2 * d * c)]
+        for step in np.eye(d, dtype=np.int64):
+            for nb in (grid.locate(grid.lattice - step),
+                       grid.locate(grid.lattice + step)):
+                hit = nb >= 0
                 rows.append(np.flatnonzero(hit))
-                cols.append(order[pos[hit]])
+                cols.append(nb[hit])
                 vals.append(np.full(int(hit.sum()), -c))
         S = sparse.coo_matrix((np.concatenate(vals),
                                (np.concatenate(rows), np.concatenate(cols))),

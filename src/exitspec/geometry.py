@@ -41,10 +41,10 @@ class Interval(DomainSpec):
     kind = "interval"
 
     def __init__(self, a, b):
-        if not (a < b):
-            raise GeometryError(f"interval needs a < b, got [{a}, {b}]")
-        self.a = float(a)
-        self.b = float(b)
+        self.a, self.b = float(a), float(b)
+        if not (math.isfinite(self.a) and math.isfinite(self.b)
+                and self.a < self.b):
+            raise GeometryError(f"interval needs finite a < b, got [{a}, {b}]")
 
     def volume(self):
         return self.b - self.a
@@ -68,10 +68,10 @@ class Rectangle(DomainSpec):
     kind = "rectangle"
 
     def __init__(self, Lx, Ly):
-        if Lx <= 0 or Ly <= 0:
-            raise GeometryError(f"rectangle needs positive sides, got {Lx} x {Ly}")
-        self.Lx = float(Lx)
-        self.Ly = float(Ly)
+        self.Lx, self.Ly = float(Lx), float(Ly)
+        if not all(math.isfinite(s) and s > 0 for s in (self.Lx, self.Ly)):
+            raise GeometryError(f"rectangle needs positive finite sides, "
+                                f"got {Lx} x {Ly}")
 
     def volume(self):
         return self.Lx * self.Ly
@@ -94,9 +94,9 @@ class Disk(DomainSpec):
     kind = "disk"
 
     def __init__(self, R):
-        if R <= 0:
-            raise GeometryError(f"disk needs positive radius, got {R}")
         self.R = float(R)
+        if not (math.isfinite(self.R) and self.R > 0):
+            raise GeometryError(f"disk needs a positive finite radius, got {R}")
 
     def volume(self):
         return math.pi * self.R ** 2
@@ -169,6 +169,8 @@ class Polygon(DomainSpec):
         v = [tuple(map(float, p)) for p in vertices]
         if len(v) < 3:
             raise GeometryError("polygon needs at least 3 vertices")
+        if not all(math.isfinite(c) for p in v for c in p):
+            raise GeometryError(f"polygon vertices must be finite, got {v}")
         area = shoelace_area(v)
         if abs(area) < 1e-14:
             raise GeometryError("polygon has (near) zero area")
@@ -283,21 +285,30 @@ def perturb_polygon(poly: Polygon, f, eps: float) -> Polygon:
 class Grid:
     """Interior nodes of a lattice (or radial) discretization.
 
-    nodes: (n, dim) coordinates; weights: per-node quadrature weight;
-    lattice: integer lattice coordinates (lexicographic order, which is
-    also the node ordering); index: dict lattice tuple -> node index.
-    kind: "lattice" or "radial".
+    nodes: (n, dim) coordinates (flat for 1-D and radial grids); weights:
+    per-node quadrature weight; lattice: (n, d) int64 lattice coordinates in
+    lexicographic order, which is also the node ordering (radial grids:
+    (n, 1) ring indices). locate is the one lookup from lattice points to
+    nodes. kind: "lattice" or "radial".
     """
 
     def __init__(self, spec, h, nodes, lattice, weights, kind="lattice"):
         self.spec = spec
         self.h = float(h)
         self.nodes = np.asarray(nodes, dtype=float)
-        self.lattice = [tuple(c) for c in lattice]
         self.weights = np.asarray(weights, dtype=float)
-        self.index = {c: i for i, c in enumerate(self.lattice)}
+        self.lattice = np.asarray(lattice, dtype=np.int64).reshape(self.n, -1)
         self.kind = kind
         self._operator = None      # kept by assemble_half_laplacian
+        # row-major linear keys over the lattice's bounding box; the
+        # lexicographic node order makes them strictly ascending
+        self._lo = self.lattice.min(axis=0)
+        self._hi = self.lattice.max(axis=0)
+        span = self._hi - self._lo + 1
+        self._stride = np.concatenate((np.cumprod(span[:0:-1])[::-1], [1]))
+        self._keys = (self.lattice - self._lo) @ self._stride
+        if np.any(np.diff(self._keys) <= 0):
+            raise GeometryError("lattice must be in strictly lexicographic order")
 
     @property
     def n(self):
@@ -307,15 +318,18 @@ class Grid:
     def dim(self):
         return self.spec.dim
 
-    def neighbors(self, coord):
-        """Lattice neighbor indices (or None where the neighbor is exterior)."""
-        out = []
-        for axis in range(len(coord)):
-            for step in (-1, 1):
-                c = list(coord)
-                c[axis] += step
-                out.append(self.index.get(tuple(c)))
-        return out
+    def locate(self, points):
+        """Node index of each lattice point ((..., d) integers), -1 where
+        the point is not a node. Points outside the lattice's bounding box
+        are rejected before any key is formed, so none aliases a node."""
+        p = np.asarray(points)
+        q = p.reshape(-1, self.lattice.shape[1])
+        found = np.full(len(q), -1, dtype=np.int64)
+        inside = np.all((q >= self._lo) & (q <= self._hi), axis=1)
+        keys = (q[inside].astype(np.int64) - self._lo) @ self._stride
+        pos = np.minimum(np.searchsorted(self._keys, keys), self.n - 1)
+        found[inside] = np.where(self._keys[pos] == keys, pos, -1)
+        return found.reshape(p.shape[:-1])[()]
 
     def dump_csv(self, path):
         with open(path, "w") as fh:
@@ -329,58 +343,39 @@ class Grid:
 def build_grid(spec: DomainSpec, h: float) -> Grid:
     """Stair-step lattice grid: the points of h*Z^d strictly inside spec.
 
-    Nodes are ordered lexicographically by lattice coordinates. Raises
-    GeometryError when some axis has fewer than 3 interior nodes.
+    Candidates are the lattice points of the spec's bounding box padded by
+    one node; nodes are ordered lexicographically by lattice coordinates.
+    Raises GeometryError when some axis has fewer than 3 interior nodes.
     """
-    if h <= 0:
-        raise GeometryError("h must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise GeometryError(f"h must be positive and finite, got {h}")
     if isinstance(spec, Interval):
-        eps = 1e-12 * max(1.0, abs(spec.a), abs(spec.b))
-        i_lo = math.floor(spec.a / h) - 1
-        i_hi = math.ceil(spec.b / h) + 1
-        idx = [i for i in range(i_lo, i_hi + 1)
-               if spec.a + eps < i * h < spec.b - eps]
-        if len(idx) < 3:
-            raise GeometryError(f"h={h} leaves {len(idx)} interior nodes (need 3)")
-        nodes = np.array([i * h for i in idx])
-        lattice = [(i,) for i in idx]
-        weights = np.full(len(idx), h)
-        return Grid(spec, h, nodes, lattice, weights)
-
-    if isinstance(spec, (Rectangle, Disk, Polygon)):
-        if isinstance(spec, Rectangle):
-            xlo, xhi, ylo, yhi = 0.0, spec.Lx, 0.0, spec.Ly
-        elif isinstance(spec, Disk):
-            xlo = ylo = -spec.R
-            xhi = yhi = spec.R
-        else:
-            v = np.asarray(spec.vertices)
-            xlo, xhi = v[:, 0].min(), v[:, 0].max()
-            ylo, yhi = v[:, 1].min(), v[:, 1].max()
-        i_range = range(math.floor(xlo / h) - 1, math.ceil(xhi / h) + 2)
-        j_range = range(math.floor(ylo / h) - 1, math.ceil(yhi / h) + 2)
-        cand = [(i, j) for i in i_range for j in j_range]
-        pts = np.array([(i * h, j * h) for i, j in cand])
-        if isinstance(spec, Rectangle):
-            eps = 1e-12 * max(1.0, spec.Lx, spec.Ly)
-            mask = ((pts[:, 0] > eps) & (pts[:, 0] < spec.Lx - eps) &
-                    (pts[:, 1] > eps) & (pts[:, 1] < spec.Ly - eps))
-        elif isinstance(spec, Disk):
-            mask = pts[:, 0] ** 2 + pts[:, 1] ** 2 < spec.R ** 2
-        else:
-            mask = spec.contains(pts)
-        lattice = [c for c, m in zip(cand, mask) if m]
-        nodes = pts[mask]
-        if len(lattice) == 0:
-            raise GeometryError(f"h={h} leaves no interior nodes")
-        xs = {c[0] for c in lattice}
-        ys = {c[1] for c in lattice}
-        if len(xs) < 3 or len(ys) < 3:
-            raise GeometryError(f"h={h} leaves fewer than 3 interior nodes per axis")
-        weights = np.full(len(lattice), h * h)
-        return Grid(spec, h, nodes, lattice, weights)
-
-    raise GeometryError(f"unsupported domain spec {spec!r}")
+        box = [(spec.a, spec.b)]
+    elif isinstance(spec, Rectangle):
+        box = [(0.0, spec.Lx), (0.0, spec.Ly)]
+    elif isinstance(spec, Disk):
+        box = [(-spec.R, spec.R)] * 2
+    elif isinstance(spec, Polygon):
+        v = np.asarray(spec.vertices)
+        box = list(zip(v.min(axis=0), v.max(axis=0)))
+    else:
+        raise GeometryError(f"unsupported domain spec {spec!r}")
+    axes = [np.arange(math.floor(lo / h) - 1, math.ceil(hi / h) + 2)
+            for lo, hi in box]
+    cand = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, len(box))
+    pts = cand * h
+    if isinstance(spec, (Interval, Rectangle)):
+        eps = 1e-12 * max(1.0, *(abs(b) for lh in box for b in lh))
+        mask = np.all([(lo + eps < pts[:, k]) & (pts[:, k] < hi - eps)
+                       for k, (lo, hi) in enumerate(box)], axis=0)
+    else:
+        mask = spec.contains(pts)
+    lattice = cand[mask]
+    if any(len(np.unique(lattice[:, k])) < 3 for k in range(len(box))):
+        raise GeometryError(f"h={h} leaves fewer than 3 interior nodes per axis")
+    nodes = pts[mask] if len(box) > 1 else pts[mask, 0]
+    weights = np.full(len(lattice), math.prod([h] * len(box)))
+    return Grid(spec, h, nodes, lattice, weights)
 
 
 def build_radial_grid(spec: Disk, h: float) -> Grid:
@@ -393,7 +388,7 @@ def build_radial_grid(spec: Disk, h: float) -> Grid:
     """
     if not isinstance(spec, Disk):
         raise GeometryError("radial grids only apply to disks")
-    if h <= 0 or h >= spec.R:
+    if not 0 < h < spec.R:
         raise GeometryError(f"radial spacing h={h} incompatible with R={spec.R}")
     M = max(int(round(spec.R / h)) - 1, 2)
     hh = spec.R / (M + 1)
@@ -401,5 +396,4 @@ def build_radial_grid(spec: Disk, h: float) -> Grid:
     weights = np.empty(M + 1)
     weights[0] = math.pi * hh * hh / 4.0
     weights[1:] = 2.0 * math.pi * r[1:] * hh
-    lattice = [(i,) for i in range(M + 1)]
-    return Grid(spec, hh, r, lattice, weights, kind="radial")
+    return Grid(spec, hh, r, np.arange(M + 1), weights, kind="radial")

@@ -142,3 +142,40 @@ def monic_orthogonal_value(alpha, beta, x):
     for a, b in zip(alpha, beta):
         prev, cur = cur, (x - a) * cur - b * prev
     return cur
+
+
+def loop_lattice_grid(spec, h):
+    """(nodes, lattice, weights) of the stair-step grid on h*Z^d, built
+    point by point: candidates over the padded bounding box in
+    lexicographic order, kept when strictly inside (eps-guarded for the
+    interval and the rectangle, spec.contains for polygons)."""
+    if spec.kind == "interval":
+        eps = 1e-12 * max(1.0, abs(spec.a), abs(spec.b))
+        idx = [i for i in range(math.floor(spec.a / h) - 1,
+                                math.ceil(spec.b / h) + 2)
+               if spec.a + eps < i * h < spec.b - eps]
+        return (np.array([i * h for i in idx]), [(i,) for i in idx],
+                np.full(len(idx), h))
+    if spec.kind == "rectangle":
+        xlo, xhi, ylo, yhi = 0.0, spec.Lx, 0.0, spec.Ly
+    elif spec.kind == "disk":
+        xlo = ylo = -spec.R
+        xhi = yhi = spec.R
+    else:
+        v = np.asarray(spec.vertices)
+        xlo, xhi = v[:, 0].min(), v[:, 0].max()
+        ylo, yhi = v[:, 1].min(), v[:, 1].max()
+    cand = [(i, j)
+            for i in range(math.floor(xlo / h) - 1, math.ceil(xhi / h) + 2)
+            for j in range(math.floor(ylo / h) - 1, math.ceil(yhi / h) + 2)]
+    pts = np.array([(i * h, j * h) for i, j in cand])
+    if spec.kind == "rectangle":
+        eps = 1e-12 * max(1.0, spec.Lx, spec.Ly)
+        mask = ((pts[:, 0] > eps) & (pts[:, 0] < spec.Lx - eps) &
+                (pts[:, 1] > eps) & (pts[:, 1] < spec.Ly - eps))
+    elif spec.kind == "disk":
+        mask = pts[:, 0] ** 2 + pts[:, 1] ** 2 < spec.R ** 2
+    else:
+        mask = spec.contains(pts)
+    lattice = [c for c, m in zip(cand, mask) if m]
+    return pts[mask], lattice, np.full(len(lattice), h * h)

@@ -127,6 +127,12 @@ class TestPipelines:
                  config_text=FAST_MOMENTS)
         assert rc == 0
         assert (tmp_path / "out" / "operator.txt").exists()
+        # the manifest records the flag, so the dumped files replay too
+        man = tmp_path / "out" / "manifest.json"
+        assert {"operator.txt", "grid.csv"} <= set(
+            json.loads(man.read_text())["outputs"])
+        assert main(["--rerun", str(man),
+                     "--out", str(tmp_path / "replay")]) == 0
 
     def test_spectrum_pipeline_analytic(self, tmp_path):
         rc = run(["--pipeline", "spectrum"], tmp_path, config_text=(
@@ -281,11 +287,19 @@ class TestPipelines:
         ("all", {"heat.t_min": "0"}, 2, "need 0 < heat.t_min < heat.t_max"),
         # verify takes its analytic moments to verify.n_max itself
         ("verify", {"verify.n_max": "12"}, 0, None),
-    ], ids=["invert-n_max", "all-n_max", "all-t_min", "verify-n_max"])
+        # typed library errors: McError, ValueError, GeometryError
+        ("mc", {"mc.paths": "4", "mc.x0": ""}, 2, "relative standard error"),
+        ("mc", {"mc.dt": "0"}, 2, "dt must be positive and finite, got 0.0"),
+        ("moments", {"moments.n_max": "0"}, 2, "n_max must be >= 1"),
+        ("moments", {"grid.h": "nan"}, 2,
+         "h must be positive and finite, got nan"),
+    ], ids=["invert-n_max", "all-n_max", "all-t_min", "verify-n_max",
+            "mc-paths", "mc-dt", "moments-n_max", "grid-h-nan"])
     def test_stage_config_checks(self, tmp_path, capsys, pipeline, changes,
                                  rc, message):
         text = config_text({**ALL_INTERVAL, **changes})
         assert run(["--pipeline", pipeline], tmp_path, text) == rc
+        assert (tmp_path / "out" / "manifest.json").exists()
         err = capsys.readouterr().err
         if message is None:
             assert err == ""

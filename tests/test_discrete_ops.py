@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -61,6 +63,23 @@ def test_2d_solve_contract_through_cached_factor():
     assert np.array_equal(again.values, u.values)
 
 
+def test_grid_and_operator_free_without_the_cycle_collector():
+    """The grid keeps its operator and the operator refers back weakly, so
+    dropping the grid frees both, LU factors included, by reference
+    counting alone; a cycle would keep them until the cyclic gc runs."""
+    g = es.build_grid(es.Rectangle(1, 1), 1 / 16)
+    op = es.assemble_half_laplacian(g)
+    op.factor()
+    assert op.grid is g
+    ref = weakref.ref(op)
+    gc.disable()
+    try:
+        del g, op
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def _loop_assembly(grid):
     """Entry-by-entry assembly of S, kept independent of the package's."""
     n = grid.n
@@ -77,11 +96,16 @@ def _loop_assembly(grid):
         d = sparse.diags(1.0 / np.sqrt(grid.weights))
         return (d @ WM @ d).tocsr()
     c = 1.0 / (2.0 * grid.h ** 2)
-    for i, coord in enumerate(grid.lattice):
+    index = {tuple(coord): i for i, coord in enumerate(grid.lattice.tolist())}
+    for i, coord in enumerate(grid.lattice.tolist()):
         rows.append(i); cols.append(i); vals.append(2 * len(coord) * c)
-        for j in grid.neighbors(coord):
-            if j is not None:
-                rows.append(i); cols.append(j); vals.append(-c)
+        for axis in range(len(coord)):
+            for step in (-1, 1):
+                nb = list(coord)
+                nb[axis] += step
+                if tuple(nb) in index:
+                    rows.append(i); cols.append(index[tuple(nb)])
+                    vals.append(-c)
     return sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
@@ -206,11 +230,22 @@ class TestExactSum:
 
 
 def test_field_value_at():
-    g = es.build_grid(es.Interval(0, 1), 1 / 8)
-    f = es.Field(g, np.arange(g.n, dtype=float))
-    assert f.value_at(g.nodes[3]) == 3.0
-    with pytest.raises(KeyError):
-        f.value_at(0.9999)
+    ell = es.Polygon([(0, 0), (1, 0), (1, 0.5), (0.5, 0.5), (0.5, 1), (0, 1)])
+    # (grid, a point within rounding of no interior node)
+    cases = [
+        (es.build_grid(es.Interval(0, 1), 1 / 8), 0.9999),
+        (es.build_grid(es.Rectangle(1, 1), 1 / 8), (0.5, 1.0)),
+        (es.build_grid(ell, 1 / 8), (0.75, 0.75)),     # in the notch
+        (es.build_radial_grid(es.Disk(1), 1 / 8), 1.01),
+    ]
+    for g, outside in cases:
+        f = es.Field(g, np.arange(g.n, dtype=float))
+        for i in (0, 3, g.n - 1):
+            assert f.value_at(g.nodes[i]) == float(i)
+            # rounding to the lattice forgives a small offset
+            assert f.value_at(g.nodes[i] + 0.2 * g.h) == float(i)
+        with pytest.raises(KeyError):
+            f.value_at(outside)
 
 
 class TestEigenpairs:

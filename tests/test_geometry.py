@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import exitspec as es
+import oracles
 from exitspec.geometry import shoelace_area
 
 
@@ -67,6 +68,20 @@ class TestSpecs:
     def test_degenerate_rejected(self):
         with pytest.raises(es.GeometryError):
             es.Polygon([(0, 0), (1, 0)])
+
+    @pytest.mark.parametrize("make, bad", [
+        (lambda: es.Disk(math.nan), "nan"),
+        (lambda: es.Disk(math.inf), "inf"),
+        (lambda: es.Rectangle(math.inf, 1), "inf"),
+        (lambda: es.Rectangle(1, math.nan), "nan"),
+        (lambda: es.Interval(0, math.inf), "inf"),
+        (lambda: es.Interval(math.nan, 1), "nan"),
+        (lambda: es.Polygon([(0, 0), (1, math.nan), (1, 1)]), "nan"),
+        (lambda: es.Polygon([(0, 0), (1, 0), (-math.inf, 1)]), "inf"),
+    ])
+    def test_non_finite_rejected(self, make, bad):
+        with pytest.raises(es.GeometryError, match=bad):
+            make()
 
 
 def test_shoelace_orientation_and_value():
@@ -150,12 +165,50 @@ class TestGrids:
     def test_neighbors_interior(self):
         g = es.build_grid(es.Rectangle(1, 1), 1 / 8)
         center = g.lattice[g.n // 2]
-        nbrs = g.neighbors(center)
-        assert len(nbrs) == 4
+        assert g.locate(center) == g.n // 2
+        steps = np.array([[-1, 0], [1, 0], [0, -1], [0, 1]])
+        nbrs = g.locate(center + steps)
+        assert np.all(nbrs >= 0)
+        assert np.array_equal(g.lattice[nbrs], center + steps)
+
+    def test_locate_rejects_points_outside_the_bounding_box(self):
+        # lattice 1..7 on both axes: (1, 8) has the linear key of (2, 1)
+        # and (2, 0) that of (1, 7); neither is a node
+        g = es.build_grid(es.Rectangle(1, 1), 1 / 8)
+        assert g.lattice.min() == 1 and g.lattice.max() == 7
+        pts = np.array([[1, 8], [2, 0], [2, 1], [1, 7], [0, 4], [8, 4]])
+        assert g.locate(pts).tolist() == [-1, -1, 7, 6, -1, -1]
+        assert g.locate([[1, 1]]).tolist() == [0]
+        with pytest.raises(ValueError):
+            g.locate([1, 2, 3])
+        # locate's keys rely on the lexicographic node order
+        with pytest.raises(es.GeometryError, match="lexicographic"):
+            es.Grid(g.spec, g.h, g.nodes[::-1], g.lattice[::-1], g.weights)
 
     def test_h_must_be_positive(self):
-        with pytest.raises((es.GeometryError, ValueError)):
-            es.build_grid(es.Interval(0, 1), 0.0)
+        for h in (0.0, -0.1, math.nan, math.inf):
+            # the message names the bad value
+            with pytest.raises(es.GeometryError, match=f"got {h}"):
+                es.build_grid(es.Interval(0, 1), h)
+            with pytest.raises(es.GeometryError, match=f"h={h}"):
+                es.build_radial_grid(es.Disk(1.0), h)
+
+    @pytest.mark.parametrize("spec", [
+        es.Interval(0, 1), es.Interval(0.3, 1.55), es.Interval(-0.71, 0.4),
+        es.Rectangle(1, 2.5), es.Disk(0.8),
+        es.Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]),
+        es.Polygon([(0.1, -0.2), (1.3, 0.05), (1.7, 0.9), (0.9, 1.4),
+                    (0.35, 1.1), (-0.4, 0.6)]),
+    ], ids=["interval", "shifted", "negative-a", "rectangle", "disk",
+            "L-polygon", "irregular"])
+    @pytest.mark.parametrize("h", [1 / 8, 1 / 37, 0.03, 1 / 64])
+    def test_build_grid_matches_loop_oracle(self, spec, h):
+        g = es.build_grid(spec, h)
+        nodes, lattice, weights = oracles.loop_lattice_grid(spec, h)
+        assert g.nodes.shape == nodes.shape
+        assert np.array_equal(g.nodes, nodes)
+        assert g.lattice.tolist() == [list(c) for c in lattice]
+        assert np.array_equal(g.weights, weights)
 
     def test_dump_csv(self, tmp_path):
         g = es.build_grid(es.Interval(0, 1), 1 / 8)
