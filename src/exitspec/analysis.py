@@ -1,6 +1,11 @@
 """Heat content q(t) by spectral sum and by time stepping, the zeta function
 zeta_D(s) = sum a^2 (2/lambda)^s, the Mellin identity Gamma(N) zeta_D(N) =
 A_N / N, and extraction of the small-time asymptotics q(t) ~ sum q_n t^{n/2}.
+
+The time-stepped curve is Crank-Nicolson with a Rannacher start. Its q at
+steps 2m and 2m + 1 are inner products of one half-length trajectory, so a
+run takes about half the solves of stepping the full length; the guard on
+that trajectory is CN's energy decay.
 """
 
 from __future__ import annotations
@@ -118,62 +123,79 @@ def heat_content_timestep(grid: Grid, times, dt: float) -> HeatContentCurve:
     incompatible-corner transients that plain CN propagates. q at requested
     times comes from linear interpolation between adjacent steps.
 
-    Both step kinds solve with I + (dt/2) S = (dt/2) (S + sigma I), sigma =
-    2/dt, so one factor serves the run: an Euler half step is
-    z <- sigma (S + sigma)^{-1} z and a CN step is z <- 2 sigma (S +
-    sigma)^{-1} z - z. Heat sums are formed only on steps that bracket a
-    requested time; the maximum-principle check runs on every step.
+    In z = W^{1/2} u, with s = W^{1/2} 1 and sigma = 2/dt, the Euler half
+    step is E = sigma (S + sigma)^{-1} and a CN step is R = 2 E - I, so one
+    factor of S + sigma serves the run. E and R are symmetric functions of
+    S, so q after the start and k CN steps, q_k = <s, R^k E^2 s>, is an inner
+    product on the half-length trajectory y_0 = E s, y_{m+1} = R y_m:
+    q_{2m} = <y_m, y_m> and q_{2m+1} = <y_m, y_{m+1}> (the semigroup identity
+    q(2t) = ||u(t)||^2; Golub & Meurant 2010). K steps take ceil(K/2) + 1
+    solves, where stepping u itself takes K + 2, and heat sums are formed
+    only on steps that bracket a requested time.
+
+    The guard is CN's own stability invariant: E and R are contractions, so
+    ||y_m||^2 may not grow from ||s||^2 on. A rise beyond 1e-12 relative, or
+    a non-finite energy, raises SolverError naming the step. y_m has had only
+    one Euler half step and may dip below zero; the states u themselves are
+    not checked pointwise.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     times = np.sort(np.asarray(times, dtype=float))
-    if times[0] <= 0:
-        raise ValueError("times must be positive")
+    if not np.isfinite(times).all() or times[0] <= 0:
+        raise ValueError("times must be positive and finite")
+    # step times in the float accumulation of a step-by-step run: ts[0] = 0
+    # is u = 1, ts[1] = dt ends the Rannacher start (two exact half steps),
+    # ts[k + 1] follows CN step k. The loop slack (1e-6 dt) scales with dt,
+    # so dilating the domain and the times leaves the steps as they are
+    t_end = float(times[-1])
+    ts = [0.0, dt]
+    while ts[-1] < t_end - 1e-6 * dt:
+        ts.append(ts[-1] + dt)
+    ts = np.array(ts)
+    # each sample interpolates between the states bracketing it, ts[lo] < t
+    # <= ts[hi]. A sample the loop slack leaves beyond the last step (a few
+    # ulp short of t_end) takes the final state's q
+    j = np.searchsorted(ts, times, side="left")
+    inside = j < len(ts)
+    lo, hi = j[inside] - 1, j[inside]
+    need = np.zeros(len(ts), dtype=bool)
+    need[lo] = need[hi] = True
+    need[-1] |= not inside.all()
+
     op = assemble_half_laplacian(grid)
     sigma = 2.0 / dt
     lu = op.factor(sigma)
-    sqrtw = op.sqrtw
-    z = sqrtw.copy()                               # u = 1
-    t = 0.0
-    qs = np.empty_like(times)
-    zprev, tprev, qprev = z, 0.0, None             # qprev formed on demand
+    s = op.sqrtw
+    q = np.empty(len(ts))                          # q[k + 1] = q_k
+    if need[0]:
+        q[0] = exact_sum(s * s)
+    n_steps = len(ts) - 2
 
-    def record_upto(limit):
-        nonlocal zprev, tprev, qprev
-        u = z / sqrtw
-        # blowup detector, not a positivity assertion: CN is not monotone on
-        # the discontinuous start and undershoots by ~1e-5 before Rannacher
-        # damping wins, so the band is deliberately loose
-        if float(u.max()) > 1.0 + 1e-3 or float(u.min()) < -1e-3:
-            raise SolverError("time stepper left [0, 1]: maximum principle broken")
-        due = np.where((times > tprev) & (times <= limit + 1e-9 * dt))[0]
-        qnow = None
-        if len(due):
-            if qprev is None:
-                qprev = exact_sum(sqrtw * zprev)
-            qnow = exact_sum(sqrtw * z)
-        for i in due:
-            frac = (times[i] - tprev) / (t - tprev) if t > tprev else 1.0
-            qs[i] = qprev + frac * (qnow - qprev)
-        zprev, tprev, qprev = z, t, qnow
+    def guarded(y, energy, m):
+        e = float(y @ y)
+        if not e <= energy * (1.0 + 1e-12):        # also catches NaN and inf
+            raise SolverError(
+                f"time stepper unstable: Crank-Nicolson energy rose from "
+                f"{energy:.6g} to {e:.6g} at half-trajectory step {m}")
+        return e
 
-    # Rannacher startup
-    for _ in range(2):
-        z = sigma * lu.solve(z)
-        t += dt / 2.0
-    record_upto(t)
-    t_end = float(times[-1])
-    while t < t_end - 1e-6 * dt:
-        z = 2.0 * sigma * lu.solve(z) - z
-        t += dt
-        record_upto(t)
-    # accumulated t may stop a few ulp short of t_end, leaving the last
-    # sample in the gap between the loop slack (1e-6 dt) and the record
-    # slack (1e-9 dt); close it with the final state. Both slacks scale
-    # with dt, so dilating the domain and the times leaves the steps as
-    # they are
-    if tprev < t_end:
-        record_upto(t_end)
+    y = sigma * lu.solve(s)                        # y_0 = E s
+    energy = guarded(y, float(s @ s), 0)
+    for m in range(n_steps // 2 + 1):
+        if need[2 * m + 1]:
+            q[2 * m + 1] = exact_sum(y * y)
+        if 2 * m + 1 > n_steps:
+            break
+        y_next = 2.0 * sigma * lu.solve(y) - y
+        energy = guarded(y_next, energy, m + 1)
+        if need[2 * m + 2]:
+            q[2 * m + 2] = exact_sum(y * y_next)
+        y = y_next
+
+    qs = np.full_like(times, q[-1])
+    frac = (times[inside] - ts[lo]) / (ts[hi] - ts[lo])
+    qs[inside] = q[lo] + frac * (q[hi] - q[lo])
     return HeatContentCurve(times, qs, "timestep")
 
 

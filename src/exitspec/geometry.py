@@ -118,18 +118,20 @@ def shoelace_area(vertices):
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def _segments_intersect(p1, p2, q1, q2):
-    """Proper or improper intersection of closed segments."""
+def _segments_intersect(p1, p2, q1, q2, scale):
+    """Proper or improper intersection of closed segments; collinearity and
+    touching are judged to 1e-14 relative to the length scale."""
+    tol = 1e-14 * scale
 
     def orient(a, b, c):
         d = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if abs(d) < 1e-14:
+        if abs(d) < tol * scale:
             return 0
         return 1 if d > 0 else -1
 
     def on_seg(a, b, c):
-        return (min(a[0], b[0]) - 1e-14 <= c[0] <= max(a[0], b[0]) + 1e-14 and
-                min(a[1], b[1]) - 1e-14 <= c[1] <= max(a[1], b[1]) + 1e-14)
+        return (min(a[0], b[0]) - tol <= c[0] <= max(a[0], b[0]) + tol and
+                min(a[1], b[1]) - tol <= c[1] <= max(a[1], b[1]) + tol)
 
     o1, o2 = orient(p1, p2, q1), orient(p1, p2, q2)
     o3, o4 = orient(q1, q2, p1), orient(q1, q2, p2)
@@ -146,7 +148,7 @@ def _segments_intersect(p1, p2, q1, q2):
     return False
 
 
-def _is_simple(vertices):
+def _is_simple(vertices, scale):
     n = len(vertices)
     for i in range(n):
         a1, a2 = vertices[i], vertices[(i + 1) % n]
@@ -154,7 +156,7 @@ def _is_simple(vertices):
             if j == i or (j + 1) % n == i or (i + 1) % n == j:
                 continue  # shared endpoint with a neighbor
             b1, b2 = vertices[j], vertices[(j + 1) % n]
-            if _segments_intersect(a1, a2, b1, b2):
+            if _segments_intersect(a1, a2, b1, b2, scale):
                 return False
     return True
 
@@ -171,12 +173,15 @@ class Polygon(DomainSpec):
             raise GeometryError("polygon needs at least 3 vertices")
         if not all(math.isfinite(c) for p in v for c in p):
             raise GeometryError(f"polygon vertices must be finite, got {v}")
+        # tolerances scale with the coordinates' extent, so a dilated polygon
+        # is judged as the original is
+        scale = float(np.ptp(v))
         area = shoelace_area(v)
-        if abs(area) < 1e-14:
+        if abs(area) <= 1e-14 * scale * scale:
             raise GeometryError("polygon has (near) zero area")
         if area < 0:
             v = v[::-1]
-        if not _is_simple(v):
+        if not _is_simple(v, scale):
             raise GeometryError("polygon is self-intersecting")
         self.vertices = tuple(v)
 
@@ -189,15 +194,17 @@ class Polygon(DomainSpec):
         return float(np.sum(np.hypot(d[:, 0], d[:, 1])))
 
     def contains(self, points, boundary_eps=None):
-        """Strict interior: odd crossing parity and not within eps of an edge."""
+        """Strict interior: odd crossing parity and not within eps of an edge.
+        Only points of odd parity are measured against the edges."""
         p = np.atleast_2d(np.asarray(points, dtype=float))
         inside = self.crossing_parity(p)
         if boundary_eps is None:
             v = np.asarray(self.vertices)
             scale = max(v.max() - v.min(), 1.0)
             boundary_eps = 1e-12 * scale
-        near = self._near_boundary(p, boundary_eps)
-        return inside & ~near
+        odd = np.flatnonzero(inside)
+        inside[odd[self._near_boundary(p[odd], boundary_eps)]] = False
+        return inside
 
     def crossing_parity(self, p):
         """Vectorized even-odd ray casting (no boundary guard); p is (n,2)."""

@@ -102,6 +102,14 @@ class TestHeatContent:
         with pytest.raises(ValueError, match="finite"):
             es.heat_content_timestep(g, [0.1, 0.2], dt=dt)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_timestep_rejects_non_finite_times(self, bad):
+        # a NaN or inf last time would end the stepping at once and leave
+        # the other samples unset
+        g = es.build_grid(es.Rectangle(1, 1), 1 / 16)
+        with pytest.raises(ValueError, match="finite"):
+            es.heat_content_timestep(g, [0.1, bad], dt=1e-3)
+
     def test_timestep_monotone_decay(self):
         g = es.build_grid(es.Rectangle(1, 1), 1 / 32)
         times = np.linspace(0.02, 0.4, 12)
@@ -109,6 +117,83 @@ class TestHeatContent:
         q = np.asarray(curve.q)
         assert np.all(np.diff(q) < 0)
         assert q[0] < math.fsum(g.weights)
+
+    @pytest.mark.parametrize("case", ["interval", "square", "c8_square",
+                                      "radial_disk", "final_sample"])
+    def test_timestep_matches_step_by_step_oracle(self, case):
+        # the half-length trajectory must give the numbers of the plain
+        # step-by-step scheme, including which steps each sample sits between
+        square = es.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+        grid, times, dt = {
+            "interval": (es.build_grid(es.Interval(0, 1), 1 / 128),
+                         np.linspace(0.05, 0.8, 16), 1e-3),
+            "square": (es.build_grid(es.Rectangle(1, 1), 1 / 64),
+                       np.geomspace(1e-3, 0.05, 40), 1e-4),
+            "c8_square": (es.build_grid(es.perturb_polygon(
+                square, [-1.0, 0.6, 1.0, -0.2], 0.07), 1 / 64),
+                np.linspace(0.01, 1.0, 50), 2.5e-3),
+            "radial_disk": (es.build_radial_grid(es.Disk(1), 1 / 200),
+                            np.geomspace(1e-4, 0.3, 40), 1e-4),
+            "final_sample": (es.build_grid(es.Interval(0, 1), 1 / 64),
+                             np.geomspace(1e-4, 0.05, 40), 1e-4 / 16),
+        }[case]
+        op = es.assemble_half_laplacian(grid)
+        want, _ = oracles.cn_heat_content_loop(op.sym, op.sqrtw, times, dt)
+        got = np.asarray(es.heat_content_timestep(grid, times, dt).q)
+        assert np.abs(got / want - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("t_max", [0.05, 0.0505])
+    def test_timestep_solve_count(self, t_max):
+        # K CN steps take ceil(K/2) + 1 solves: one for the Euler half step,
+        # then one per trajectory step (K odd at 0.05, even at 0.0505)
+        grid = es.build_grid(es.Rectangle(1, 1), 1 / 32)
+        dt = 1e-3
+        op = es.assemble_half_laplacian(grid)
+        lu = op.factor(2.0 / dt)
+        calls = []
+
+        class CountingFactor:
+            def solve(self, b):
+                calls.append(1)
+                return lu.solve(b)
+
+        op._factors[2.0 / dt] = CountingFactor()
+        times = np.linspace(0.01, t_max, 7)
+        es.heat_content_timestep(grid, times, dt)
+        _, steps = oracles.cn_heat_content_loop(op.sym, op.sqrtw, times, dt)
+        assert steps == {0.05: 49, 0.0505: 50}[t_max]
+        assert len(calls) == math.ceil(steps / 2) + 1
+
+    def test_timestep_energy_guard(self):
+        # with S negated, (sigma - S)^{-1} amplifies every mode: the
+        # trajectory's energy grows and the stepper must say where
+        grid = es.build_grid(es.Rectangle(1, 1), 1 / 16)
+        op = es.assemble_half_laplacian(grid)
+        op.sym = -op.sym
+        op._factors.clear()
+        with pytest.raises(es.SolverError, match="step 0"):
+            es.heat_content_timestep(grid, [0.01, 0.02], dt=1e-3)
+
+    def test_timestep_perturbed_squares_complete(self):
+        # these flows put stair-step corner nodes where the undamped stiff
+        # modes push u below zero by ~1e-2; the scheme is still stable, so
+        # each curve must decay and carry the square's dt error, not more
+        square = es.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+        times = np.geomspace(0.01, 1.0, 30)
+        dt = 2.5e-3
+
+        def curve_and_dt_gap(spec):
+            grid = es.build_grid(spec, 1 / 64)
+            q = np.asarray(es.heat_content_timestep(grid, times, dt).q)
+            fine = np.asarray(es.heat_content_timestep(grid, times, dt / 4).q)
+            return q, np.abs(q - fine).max()
+
+        _, square_gap = curve_and_dt_gap(square)
+        for seed in (4, 8, 10, 15):
+            flow = np.random.default_rng(seed).uniform(-1, 1, 4)
+            q, gap = curve_and_dt_gap(es.perturb_polygon(square, flow, 0.07))
+            assert np.all(np.diff(q) < 0), seed
+            assert gap <= 1.5 * square_gap, seed
 
     def test_restrict_and_csv(self, tmp_path, interval_sd):
         curve = es.heat_content_spectral(interval_sd, np.linspace(0.01, 1, 25))

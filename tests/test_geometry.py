@@ -61,6 +61,41 @@ class TestSpecs:
         par = ell.crossing_parity(pts)
         assert np.array_equal(par, ell.contains(pts, boundary_eps=0.0))
 
+    @pytest.mark.parametrize("eps", [None, 0.0, 1e-12, 1e-3])
+    def test_contains_measures_edges_on_odd_parity_only(self, eps):
+        # skipping the edge distances for even-parity points must not change
+        # a single answer: compare with parity & ~near over every point
+        ell = es.Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
+        v = np.asarray(ell.vertices)
+        rng = np.random.default_rng(11)
+        t = rng.uniform(0, 1, (500, 1))
+        i = rng.integers(len(v), size=500)
+        on_edges = v[i] + t * (np.roll(v, -1, axis=0)[i] - v[i])
+        pts = np.concatenate([rng.uniform(-0.3, 2.3, (2000, 2)), on_edges,
+                              on_edges + rng.normal(0, 1e-12, (500, 2)), v])
+        e = 1e-12 * 2.0 if eps is None else eps
+        want = ell.crossing_parity(pts) & ~ell._near_boundary(pts, e)
+        got = ell.contains(pts) if eps is None else ell.contains(pts, eps)
+        assert np.array_equal(got, want)
+
+    def test_polygon_tolerances_scale_with_the_polygon(self):
+        # area, collinearity and touching tolerances are relative, so a
+        # dilation by c = 2^k decides every case as at c = 1
+        shapes = {"square": UNIT_SQUARE,
+                  "L": [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)],
+                  # (3, 1) lies in the bounding box of the edge from (0, 0)
+                  # to (4, 4): only orientation tells them apart
+                  "dart": [(0, 0), (4, 4), (5, 4), (5, 0), (3, 1)]}
+        bowtie = [(0, 0), (2, 1), (2, 0), (0, 2)]    # crossing, area 1
+        for k in range(-40, 41):
+            c = 2.0 ** k
+            for name, verts in shapes.items():
+                poly = es.Polygon([(c * x, c * y) for x, y in verts])
+                unit = es.Polygon(verts)
+                assert poly.volume() == c * c * unit.volume(), (name, k)
+            with pytest.raises(es.GeometryError, match="self-intersecting"):
+                es.Polygon([(c * x, c * y) for x, y in bowtie])
+
     def test_self_intersecting_rejected(self):
         with pytest.raises(es.GeometryError):
             es.Polygon([(0, 0), (1, 1), (1, 0), (0, 1)])
