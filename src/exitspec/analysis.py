@@ -3,9 +3,10 @@ zeta_D(s) = sum a^2 (2/lambda)^s, the Mellin identity Gamma(N) zeta_D(N) =
 A_N / N, and extraction of the small-time asymptotics q(t) ~ sum q_n t^{n/2}.
 
 The time-stepped curve is Crank-Nicolson with a Rannacher start. Its q at
-steps 2m and 2m + 1 are inner products of one half-length trajectory, so a
-run takes about half the solves of stepping the full length; the guard on
-that trajectory is CN's energy decay.
+step k is a quadratic form in F = (S + 2/dt)^{-1} S, so it is read off the
+Gauss rule of a short Lanczos process on F (one solve per Lanczos step)
+instead of stepping; the guard is CN's contraction condition, F's spectrum
+in [0, 1].
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import math
 import numpy as np
 
 from .geometry import Grid, DomainSpec
-from .discrete_ops import SolverError, assemble_half_laplacian, exact_sum
+from .discrete_ops import (SolverError, assemble_half_laplacian, exact_sum,
+                           lanczos)
 from .moments import MomentSequence
 from .spectral import SpectralData
 
@@ -36,6 +38,7 @@ class HeatContentCurve:
         self.q = q
         self.provenance = provenance
         self.tail_bound = float(tail_bound)
+        self.diagnostics = {}
 
     def __len__(self):
         return len(self.times)
@@ -123,21 +126,30 @@ def heat_content_timestep(grid: Grid, times, dt: float) -> HeatContentCurve:
     incompatible-corner transients that plain CN propagates. q at requested
     times comes from linear interpolation between adjacent steps.
 
-    In z = W^{1/2} u, with s = W^{1/2} 1 and sigma = 2/dt, the Euler half
-    step is E = sigma (S + sigma)^{-1} and a CN step is R = 2 E - I, so one
-    factor of S + sigma serves the run. E and R are symmetric functions of
-    S, so q after the start and k CN steps, q_k = <s, R^k E^2 s>, is an inner
-    product on the half-length trajectory y_0 = E s, y_{m+1} = R y_m:
-    q_{2m} = <y_m, y_m> and q_{2m+1} = <y_m, y_{m+1}> (the semigroup identity
-    q(2t) = ||u(t)||^2; Golub & Meurant 2010). K steps take ceil(K/2) + 1
-    solves, where stepping u itself takes K + 2, and heat sums are formed
-    only on steps that bracket a requested time.
+    In z = W^{1/2} u, with s = W^{1/2} 1, sigma = 2/dt and
+    F = (S + sigma)^{-1} S, the Euler half step is E = I - F and a CN step
+    is R = I - 2 F, so one factor of S + sigma serves the run. q after the
+    start and k CN steps is the quadratic form
+    q_k = <s, (I - 2 F)^k (I - F)^2 s>, a polynomial of degree k + 2 in F
+    integrated against the spectral measure of s. Lanczos on F from s (one
+    solve per step) gives that measure's Gauss rule, nodes phi_j and
+    weights w_j, and q_k = sum w_j (1 - phi_j)^2 (1 - 2 phi_j)^k (Golub &
+    Meurant 2010). The sums are formed only for the steps that bracket a
+    requested time, from a rule rebuilt every CN_CHECK_EVERY steps. The
+    process stops when two successive rules agree to CN_RTOL relative on
+    all of them ("converged"); when their agreement, already below the
+    rounding floor max(CN_FLOOR, 2 k_max eps), gets worse ("stalled": the
+    process runs without reorthogonalization, and past convergence the
+    ghost copies of converged Ritz values only add noise, so the rule that
+    agreed best is kept); when the rule is exact in exact arithmetic,
+    2m - 1 >= k_max + 2 ("exact"); or on an invariant Krylov space
+    ("invariant"). So K steps take at most ceil(K/2) + 2 solves, usually
+    far fewer. The steps, the stop reason and the last relative change
+    between rules are in the curve's diagnostics.
 
-    The guard is CN's own stability invariant: E and R are contractions, so
-    ||y_m||^2 may not grow from ||s||^2 on. A rise beyond 1e-12 relative, or
-    a non-finite energy, raises SolverError naming the step. y_m has had only
-    one Euler half step and may dip below zero; the states u themselves are
-    not checked pointwise.
+    The guard is CN's contraction condition: F's spectrum lies in [0, 1].
+    A Lanczos alpha or a Ritz value outside it by more than 1e-12, or a
+    non-finite one, raises SolverError naming the Lanczos step.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -164,39 +176,94 @@ def heat_content_timestep(grid: Grid, times, dt: float) -> HeatContentCurve:
     need[-1] |= not inside.all()
 
     op = assemble_half_laplacian(grid)
-    sigma = 2.0 / dt
-    lu = op.factor(sigma)
     s = op.sqrtw
     q = np.empty(len(ts))                          # q[k + 1] = q_k
     if need[0]:
         q[0] = exact_sum(s * s)
-    n_steps = len(ts) - 2
-
-    def guarded(y, energy, m):
-        e = float(y @ y)
-        if not e <= energy * (1.0 + 1e-12):        # also catches NaN and inf
-            raise SolverError(
-                f"time stepper unstable: Crank-Nicolson energy rose from "
-                f"{energy:.6g} to {e:.6g} at half-trajectory step {m}")
-        return e
-
-    y = sigma * lu.solve(s)                        # y_0 = E s
-    energy = guarded(y, float(s @ s), 0)
-    for m in range(n_steps // 2 + 1):
-        if need[2 * m + 1]:
-            q[2 * m + 1] = exact_sum(y * y)
-        if 2 * m + 1 > n_steps:
-            break
-        y_next = 2.0 * sigma * lu.solve(y) - y
-        energy = guarded(y_next, energy, m + 1)
-        if need[2 * m + 2]:
-            q[2 * m + 2] = exact_sum(y * y_next)
-        y = y_next
+    ks = np.flatnonzero(need[1:])
+    q[ks + 1], diagnostics = _cn_heat_sums(op, op.factor(2.0 / dt), ks)
 
     qs = np.full_like(times, q[-1])
     frac = (times[inside] - ts[lo]) / (ts[hi] - ts[lo])
     qs[inside] = q[lo] + frac * (q[hi] - q[lo])
-    return HeatContentCurve(times, qs, "timestep")
+    curve = HeatContentCurve(times, qs, "timestep")
+    curve.diagnostics = diagnostics
+    return curve
+
+
+CN_CHECK_EVERY = 4    # Lanczos steps between Gauss rules, or m // 64 if more
+CN_RTOL = 1e-14       # agreement of two successive rules that stops Lanczos
+CN_FLOOR = 1e-12      # least rounding floor of that agreement
+CN_RANGE_TOL = 1e-12  # slack on [0, 1] for alphas and Ritz values of F
+
+
+def _cn_heat_sums(op, lu, ks):
+    """(q_k for the sorted CN steps ks, diagnostics) from the Gauss rule of
+    F = (S + sigma)^{-1} S, with lu the factor of S + sigma; see
+    heat_content_timestep."""
+    from .stieltjes import _golub_welsch
+    s, S = op.sqrtw, op.sym
+    k_max = int(ks[-1])
+    m_exact = (k_max + 4) // 2          # least m with 2m - 1 >= k_max + 2
+    # a Ritz value is good to about eps absolute, which (1 - 2 phi)^k turns
+    # into up to 2 k eps relative: the floor below which rules stop agreeing
+    floor = max(CN_FLOOR, 2.0 * k_max * np.finfo(float).eps)
+    k = ks[:, None].astype(float)
+    negate = (ks % 2 == 1)[:, None]
+    alpha, beta = [], [float(s @ s)]
+    prev, change, check = None, None, CN_CHECK_EVERY
+
+    def outside(x):                     # also true for NaN
+        return not -CN_RANGE_TOL <= x <= 1.0 + CN_RANGE_TOL
+
+    for step, (a, b) in enumerate(lanczos(lambda v: lu.solve(S @ v), s)):
+        if outside(a) or not math.isfinite(b):
+            raise SolverError(
+                f"time stepper unstable: Crank-Nicolson is not a "
+                f"contraction, Lanczos step {step} has alpha {a:.6g} "
+                f"and beta {b:.6g}; alpha must lie in [0, 1]")
+        alpha.append(a)
+        m = step + 1
+        last = m >= m_exact or b == 0.0
+        if m < check and not last:
+            beta.append(b * b)
+            continue
+        check = m + max(CN_CHECK_EVERY, m // 64)
+        phi, w = map(np.array, _golub_welsch(alpha, beta))
+        if outside(phi[-1]) or outside(phi[0]):
+            raise SolverError(
+                f"time stepper unstable: Crank-Nicolson is not a "
+                f"contraction, Lanczos step {step} has Ritz values "
+                f"[{phi[-1]:.6g}, {phi[0]:.6g}] outside [0, 1]")
+        # (1 - 2 phi)^k as exp(k log|1 - 2 phi|): log1p keeps the small phi
+        # of the slow modes accurate, and 1 - 2 phi is exact from phi = 1/4
+        # on; an exact zero gives 0^k through log(tiny)
+        small = phi < 0.25
+        log_u = np.empty_like(phi)
+        log_u[small] = np.log1p(-2.0 * phi[small])
+        log_u[~small] = np.log(np.maximum(
+            np.abs(1.0 - 2.0 * phi[~small]), np.finfo(float).tiny))
+        power = np.exp(k * log_u)
+        power = np.where(negate & (phi > 0.5), -power, power)
+        cur = power @ (w * (1.0 - phi) ** 2)
+        stop = None
+        if prev is not None:
+            before = change
+            change = float(np.max(np.abs(cur - prev) / np.maximum(
+                np.abs(cur), np.finfo(float).tiny)))
+            if change <= CN_RTOL:
+                stop = "converged"
+            elif before is not None and before < change <= floor:
+                # below the floor a rise is rounding, not convergence: the
+                # rules have stopped improving; keep the one that agreed best
+                stop, cur, change = "stalled", prev, before
+        if stop is None and last:
+            stop = "exact" if m >= m_exact else "invariant"
+        if stop is not None:
+            return cur, {"lanczos_steps": m, "stop": stop,
+                         "last_rel_change": change}
+        prev = cur
+        beta.append(b * b)
 
 
 def fit_window(spec: DomainSpec, h: float):

@@ -297,7 +297,9 @@ def _heat_stage(r: Runner):
     dt = r.cfg["heat.dt"] or t_min / 16.0
     curve = heat_content_timestep(r.grid, times, dt)
     curve.to_csv(r.path("heat_timestep.csv"))
-    lines = [f"heat: q({t_min:g})={curve.q[0]:.9g}"]
+    d = curve.diagnostics
+    lines = [f"heat: q({t_min:g})={curve.q[0]:.9g} from {d['lanczos_steps']} "
+             f"Lanczos steps ({d['stop']})"]
     if not isinstance(r.spec, Polygon):
         sd = analytic_spectrum(r.spec, max(r.cfg["spectrum.m"], 32))
         heat_content_spectral(sd, times).to_csv(r.path("heat_spectral.csv"))
@@ -522,7 +524,9 @@ def run_all(r: Runner):
     recon.to_csv(r.path("heat_reconstructed.csv"))
     upper = times >= times[len(times) // 2]
     dev = float(np.max(np.abs(curve.q[upper] - recon.q[upper])))
-    summary["heat"] = {"max_abs_dev_upper_half": dev}
+    # the Crank-Nicolson curve's Lanczos steps (= solves), stop reason and
+    # last relative change between its Gauss rules
+    summary["heat"] = {"max_abs_dev_upper_half": dev, **curve.diagnostics}
     print(f"heat: timestep vs reconstructed, "
           f"max |dq| = {dev:.3g} on t >= {times[len(times) // 2]:.3g}")
 

@@ -1,5 +1,7 @@
 """Discrete generator -(1/2)Delta_h with Dirichlet conditions, direct solves
-through one cached sparse LU per shift, low eigenpairs, and quadrature.
+through one cached sparse LU per shift, low eigenpairs, quadrature, and a
+Lanczos kernel whose Jacobi matrices give Gauss rules for quadratic forms
+<s, f(A) s> of a map A the caller applies.
 
 One exact-sum kernel, exact_sum, serves every sum over a grid- or
 series-sized array: quadrature here, heat sums in analysis, the closed-form
@@ -201,6 +203,30 @@ def solve_poisson(op: DiscreteOperator, rhs: Field, tol: float = 1e-10,
             z = z + lu.solve(res * op.sqrtw)
     raise SolverError(f"solve missed tol={tol:g} and the backward-stable "
                       f"floor after refinement (residual {rnorm:.3g})")
+
+
+def lanczos(apply, start):
+    """Lanczos recurrence of a symmetric map, started from start.
+
+    Yields (alpha_j, beta_{j+1}) after step j, one apply per step, without
+    reorthogonalization: alpha_0..alpha_{m-1} on the diagonal and
+    beta_1..beta_{m-1} off it make the Jacobi matrix whose Gauss rule,
+    with beta_0 = ||start||^2, integrates polynomials of degree up to
+    2m - 1 against the spectral measure of start (Golub & Meurant 2010).
+    A zero beta means the Krylov space is invariant and ends the recurrence.
+    """
+    q_prev = np.zeros_like(start)
+    q = start / math.sqrt(float(start @ start))
+    b = 0.0
+    while True:
+        w = apply(q) - b * q_prev
+        a = float(q @ w)
+        w -= a * q
+        b = math.sqrt(float(w @ w))
+        yield a, b
+        if b == 0.0:
+            return
+        q_prev, q = q, w / b
 
 
 EXACT_SUM_SLICE = 1 << 26  # terms per bincount; keeps every bucket sum exact

@@ -195,13 +195,13 @@ class Polygon(DomainSpec):
 
     def contains(self, points, boundary_eps=None):
         """Strict interior: odd crossing parity and not within eps of an edge.
-        Only points of odd parity are measured against the edges."""
+        Only points of odd parity are measured against the edges. The
+        default eps is 1e-12 times the vertices' extent, so it dilates with
+        the polygon."""
         p = np.atleast_2d(np.asarray(points, dtype=float))
         inside = self.crossing_parity(p)
         if boundary_eps is None:
-            v = np.asarray(self.vertices)
-            scale = max(v.max() - v.min(), 1.0)
-            boundary_eps = 1e-12 * scale
+            boundary_eps = 1e-12 * float(np.ptp(np.asarray(self.vertices)))
         odd = np.flatnonzero(inside)
         inside[odd[self._near_boundary(p[odd], boundary_eps)]] = False
         return inside

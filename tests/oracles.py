@@ -184,47 +184,100 @@ def loop_lattice_grid(spec, h):
 def cn_heat_content_loop(S, sqrtw, times, dt):
     """(q at the sorted times, number of CN steps) of Crank-Nicolson with
     Rannacher's start for du/dt = -S u in z = W^{1/2} u, u(0) = 1, advanced
-    one state at a time with a fresh sparse LU of S + (2/dt) I (same column
-    ordering as the package, so both round alike).
+    one state at a time with a fresh sparse LU of S + (2/dt) I.
 
-    Two implicit-Euler half steps, then one CN step per dt, the time
-    accumulated in float; every state's q = <sqrtw, z> is summed with fsum.
-    After each step the samples in (previous t, t + 1e-9 dt] are linearly
-    interpolated between the two states (later steps overwrite), and samples
-    the 1e-6 dt loop slack leaves beyond the last step take its q."""
+    Two implicit-Euler half steps, then one CN step per dt; a state's
+    q = <sqrtw, z> is summed with fsum. A CN step is taken as
+    z - 2 S (S + 2/dt)^{-1} z, which equals (2/dt - S)(S + 2/dt)^{-1} z but
+    does not feed the factor's backward error, scaled by 4/dt, into every
+    step (the form 4/dt (S + 2/dt)^{-1} z - z drifts from exact CN linearly
+    in the step count). Samples are placed as in _cn_samples."""
     import scipy.sparse as sparse
     import scipy.sparse.linalg as splinalg
 
-    times = np.sort(np.asarray(times, dtype=float))
     sigma = 2.0 / dt
     A = (S + sigma * sparse.identity(S.shape[0], format="csr")).tocsc()
     solve = splinalg.splu(A, permc_spec="MMD_AT_PLUS_A").solve
-    z = sqrtw.copy()
+    z, at = sqrtw.copy(), -1                  # z is the state after step at
+
+    def q_at(k):
+        nonlocal z, at
+        while at < k:
+            if at < 0:
+                z = sigma * solve(sigma * solve(z))
+            else:
+                z = z - 2.0 * (S @ solve(z))
+            at += 1
+        return math.fsum(sqrtw * z)
+
+    return _cn_samples(times, dt, q_at)
+
+
+def cn_heat_content_interval_exact(N, times, dt, dps=40):
+    """(q at the sorted times, number of CN steps) of the scheme of
+    cn_heat_content_loop on the unit interval's 3-point grid, h = 1/N,
+    evaluated in mpmath from the grid operator's closed-form eigenpairs:
+    S = tridiag(-1, 2, -1) / (2 h^2) has theta_j = (2/h^2) sin^2(j pi h/2)
+    and eigenvectors sqrt(2/N) sin(i j pi/N), so s = sqrt(h) 1 has squared
+    components 2 h^2 cot^2(j pi h/2) for odd j and 0 for even j. With
+    sigma = 2/dt (dt taken as its float value), q after the start and k CN
+    steps is sum_j c_j^2 (sigma/(sigma + theta_j))^2
+    ((sigma - theta_j)/(sigma + theta_j))^k."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        h = mpmath.mpf(1) / N
+        sigma = 2 / mpmath.mpf(dt)
+        modes = []
+        for j in range(1, N, 2):
+            theta = 2 / h ** 2 * mpmath.sin(j * mpmath.pi * h / 2) ** 2
+            c2 = 2 * h ** 2 * mpmath.cot(j * mpmath.pi * h / 2) ** 2
+            modes.append((c2 * (sigma / (sigma + theta)) ** 2,
+                          (sigma - theta) / (sigma + theta)))
+        cache = {}
+
+        def q_at(k):
+            if k not in cache:
+                cache[k] = float(mpmath.fsum(
+                    w * r ** k for w, r in modes) if k >= 0
+                    else (N - 1) * h)
+            return cache[k]
+
+        return _cn_samples(times, dt, q_at)
+
+
+def _cn_samples(times, dt, q_at):
+    """(q at the sorted times, number of CN steps) from q_at(k), the q of
+    the state after the Rannacher start and k CN steps (k = -1 is u = 1),
+    called with nondecreasing k.
+
+    The start ends at dt/2 + dt/2, then one CN step per dt, the time
+    accumulated in float, until the last time is reached within 1e-6 dt.
+    After each step the samples in (previous t, t + 1e-9 dt] are linearly
+    interpolated between the two states (later steps overwrite), and samples
+    the loop slack leaves beyond the last step take its q."""
+    times = np.sort(np.asarray(times, dtype=float))
     qs = np.empty_like(times)
 
-    def q_of(v):
-        return math.fsum(sqrtw * v)
-
-    def record(t_prev, q_prev, t, q_now, upto):
-        for i in np.flatnonzero((times > t_prev) & (times <= upto + 1e-9 * dt)):
+    def record(k_prev, t_prev, k, t, upto):
+        hit = np.flatnonzero((times > t_prev) & (times <= upto + 1e-9 * dt))
+        if hit.size:
+            q_prev, q_now = q_at(k_prev), q_at(k)
+        for i in hit:
             frac = (times[i] - t_prev) / (t - t_prev) if t > t_prev else 1.0
             qs[i] = q_prev + frac * (q_now - q_prev)
 
-    t_prev, q_prev = 0.0, q_of(z)
     t = 0.0
     for _ in range(2):
-        z = sigma * solve(z)
         t += dt / 2.0
-    steps = 0
+    t_prev, k_prev, steps = 0.0, -1, 0
     while True:
-        q_now = q_of(z)
-        record(t_prev, q_prev, t, q_now, t)
-        t_prev, q_prev = t, q_now
+        record(k_prev, t_prev, steps, t, t)
+        t_prev, k_prev = t, steps
         if not t < times[-1] - 1e-6 * dt:
             break
-        z = 2.0 * sigma * solve(z) - z
         t += dt
         steps += 1
     if t_prev < times[-1]:
-        record(t_prev, q_prev, t, q_prev, times[-1])
+        record(k_prev, t_prev, k_prev, t, times[-1])
     return qs, steps

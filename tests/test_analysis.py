@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -142,12 +143,9 @@ class TestHeatContent:
         got = np.asarray(es.heat_content_timestep(grid, times, dt).q)
         assert np.abs(got / want - 1.0).max() <= 1e-12
 
-    @pytest.mark.parametrize("t_max", [0.05, 0.0505])
-    def test_timestep_solve_count(self, t_max):
-        # K CN steps take ceil(K/2) + 1 solves: one for the Euler half step,
-        # then one per trajectory step (K odd at 0.05, even at 0.0505)
-        grid = es.build_grid(es.Rectangle(1, 1), 1 / 32)
-        dt = 1e-3
+    @staticmethod
+    def counting_solves(grid, dt):
+        """Put a factor that counts its solves in the operator's cache."""
         op = es.assemble_half_laplacian(grid)
         lu = op.factor(2.0 / dt)
         calls = []
@@ -158,11 +156,72 @@ class TestHeatContent:
                 return lu.solve(b)
 
         op._factors[2.0 / dt] = CountingFactor()
+        return op, calls
+
+    @pytest.mark.parametrize("t_max", [0.05, 0.0505])
+    def test_timestep_solve_count(self, t_max):
+        # K CN steps take at most ceil(K/2) + 2 solves, one per Lanczos
+        # step: the Gauss rule with m nodes is exact for degree k_max + 2
+        # once 2m - 1 >= k_max + 2 (K odd at 0.05, even at 0.0505)
+        grid = es.build_grid(es.Rectangle(1, 1), 1 / 32)
+        dt = 1e-3
+        op, calls = self.counting_solves(grid, dt)
         times = np.linspace(0.01, t_max, 7)
-        es.heat_content_timestep(grid, times, dt)
+        curve = es.heat_content_timestep(grid, times, dt)
         _, steps = oracles.cn_heat_content_loop(op.sym, op.sqrtw, times, dt)
         assert steps == {0.05: 49, 0.0505: 50}[t_max]
-        assert len(calls) == math.ceil(steps / 2) + 1
+        assert len(calls) <= math.ceil(steps / 2) + 2
+        assert curve.diagnostics["lanczos_steps"] == len(calls)
+
+    def test_timestep_solve_count_long_run(self):
+        # the CLI's default dt = t_min/16 over [1e-4, 0.05]: K = 7999 CN
+        # steps, where stepping takes ceil(K/2) + 1 = 4001 solves; the
+        # rules agree long before the rule is exact
+        grid = es.build_grid(es.Rectangle(1, 1), 1 / 32)
+        times, dt = np.geomspace(1e-4, 0.05, 40), 1e-4 / 16
+        op, calls = self.counting_solves(grid, dt)
+        curve = es.heat_content_timestep(grid, times, dt)
+        _, steps = oracles.cn_heat_content_loop(op.sym, op.sqrtw, times, dt)
+        assert steps == 7999
+        assert len(calls) < (math.ceil(steps / 2) + 1) / 20
+        diag = curve.diagnostics
+        assert diag["lanczos_steps"] == len(calls)
+        assert diag["stop"] in ("converged", "stalled")
+        assert diag["last_rel_change"] <= 1e-12
+
+    @pytest.mark.parametrize("case", ["final_sample", "c5_interval"])
+    def test_cn_against_exact_arithmetic(self, case):
+        # CN on the unit interval's grid in 40-digit arithmetic, from the
+        # grid operator's closed-form eigenpairs: the step-by-step oracle
+        # must sit at rounding from it, and the Gauss rule within 1e-13
+        # (C5's interval takes 32 941 steps)
+        if case == "final_sample":
+            N, times, dt = 64, np.geomspace(1e-4, 0.05, 40), 1e-4 / 16
+        else:
+            N = 512
+            lo, hi = es.fit_window(es.Interval(0, 1), 1 / N)
+            times, dt = np.geomspace(lo, hi, 40), lo / 16
+        exact, steps = oracles.cn_heat_content_interval_exact(N, times, dt)
+        grid = es.build_grid(es.Interval(0, 1), 1 / N)
+        op = es.assemble_half_laplacian(grid)
+        loop, loop_steps = oracles.cn_heat_content_loop(op.sym, op.sqrtw,
+                                                        times, dt)
+        got = np.asarray(es.heat_content_timestep(grid, times, dt).q)
+        assert loop_steps == steps
+        assert np.abs(loop / exact - 1.0).max() <= 1e-15
+        assert np.abs(got / exact - 1.0).max() <= 1e-13
+
+    def test_timestep_emits_no_warnings(self):
+        # C8's square at dt = 2.5e-3 has Ritz values above 1/2, where
+        # 1 - 2 phi < 0 and odd steps change sign
+        square = es.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+        grid = es.build_grid(es.perturb_polygon(
+            square, [-1.0, 0.6, 1.0, -0.2], 0.07), 1 / 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = es.heat_content_timestep(grid, np.linspace(0.01, 1.0, 50),
+                                         2.5e-3).q
+        assert np.all(np.diff(q) < 0)
 
     def test_timestep_energy_guard(self):
         # with S negated, (sigma - S)^{-1} amplifies every mode: the
@@ -173,6 +232,33 @@ class TestHeatContent:
         op._factors.clear()
         with pytest.raises(es.SolverError, match="step 0"):
             es.heat_content_timestep(grid, [0.01, 0.02], dt=1e-3)
+
+    def test_timestep_ritz_guard(self):
+        # S shifted below its lowest eigenvalue (pi^2 on the unit square)
+        # gives F one negative eigenvalue; the mean, alpha_0, stays
+        # positive, so only the Ritz values can show it
+        import scipy.sparse as sparse
+        grid = es.build_grid(es.Rectangle(1, 1), 1 / 16)
+        op = es.assemble_half_laplacian(grid)
+        op.sym = (op.sym - 10.5 * sparse.identity(op.n)).tocsr()
+        op._factors.clear()
+        with pytest.raises(es.SolverError, match="Ritz values"):
+            es.heat_content_timestep(grid, [0.01, 0.02], dt=1e-3)
+
+    def test_timestep_stops_when_rules_stall(self, monkeypatch):
+        # past convergence, lost orthogonality keeps successive rules
+        # apart by rounding; with agreement to CN_RTOL made impossible the
+        # process must stop on the stall, long before the exact rule at
+        # m = 401, and keep an accurate rule
+        monkeypatch.setattr(es.analysis, "CN_RTOL", -1.0)
+        grid = es.build_grid(es.Interval(0, 1), 1 / 128)
+        times, dt = np.linspace(0.05, 0.8, 16), 1e-3
+        op = es.assemble_half_laplacian(grid)
+        want, _ = oracles.cn_heat_content_loop(op.sym, op.sqrtw, times, dt)
+        curve = es.heat_content_timestep(grid, times, dt)
+        assert curve.diagnostics["stop"] == "stalled"
+        assert curve.diagnostics["lanczos_steps"] < 100
+        assert np.abs(np.asarray(curve.q) / want - 1.0).max() <= 1e-12
 
     def test_timestep_perturbed_squares_complete(self):
         # these flows put stair-step corner nodes where the undamped stiff

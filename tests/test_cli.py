@@ -231,6 +231,10 @@ class TestPipelines:
             math.pi ** 2, rel=1e-2)
         assert summary["compare"]["matched"] >= 1
         assert summary["heat"]["max_abs_dev_upper_half"] < 0.05
+        heat = summary["heat"]
+        assert heat["lanczos_steps"] >= 1
+        assert heat["stop"] in ("converged", "stalled", "exact", "invariant")
+        assert heat["last_rel_change"] is None or heat["last_rel_change"] >= 0
         assert summary["verify"]["ok"]
         man = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert man["pipeline"] == "all"

@@ -96,6 +96,45 @@ class TestSpecs:
             with pytest.raises(es.GeometryError, match="self-intersecting"):
                 es.Polygon([(c * x, c * y) for x, y in bowtie])
 
+    def test_default_boundary_eps_scales_with_the_polygon(self):
+        # the unit square dilated by c = 2^k keeps the nodes it has at
+        # c = 1; an absolute floor on eps dropped every node below c ~ 1e-12
+        for k in range(-40, 41):
+            c = 2.0 ** k
+            poly = es.Polygon([(c * x, c * y) for x, y in UNIT_SQUARE])
+            assert es.build_grid(poly, c / 16).n == 15 * 15, k
+
+    def test_default_boundary_eps_unchanged_from_extent_one(self):
+        # for polygons of extent >= 1 the relative default equals the
+        # earlier 1e-12 * max(extent, 1): C8's perturbed square in its eight
+        # images under the square's symmetries, and the suite's polygons
+        flow = [-1.0, 0.6, 1.0, -0.2]
+        images = []
+        for k in range(8):
+            f = [flow[0], flow[3], flow[2], flow[1]] if k >= 4 else flow
+            images.append(f[k % 4:] + f[:k % 4])
+        polys = [es.perturb_polygon(es.Polygon(UNIT_SQUARE), f, 0.07)
+                 for f in images]
+        polys += [es.Polygon(v) for v in (
+            UNIT_SQUARE,
+            [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)],
+            [(0, 0), (1, 0), (1, 0.5), (0.5, 0.5), (0.5, 1), (0, 1)],
+            [(0.1, -0.2), (1.3, 0.05), (1.7, 0.9), (0.9, 1.4), (0.35, 1.1),
+             (-0.4, 0.6)])]
+        for poly in polys:
+            extent = float(np.ptp(np.asarray(poly.vertices)))
+            assert extent >= 1.0
+            for h in (1 / 64, 0.03):
+                g = es.build_grid(poly, h)
+                lo = np.floor(np.min(poly.vertices, axis=0) / h) - 1
+                hi = np.ceil(np.max(poly.vertices, axis=0) / h) + 2
+                ij = np.stack(np.meshgrid(np.arange(lo[0], hi[0]),
+                                          np.arange(lo[1], hi[1]),
+                                          indexing="ij"), -1).reshape(-1, 2)
+                old = poly.contains(ij * h, boundary_eps=1e-12 * max(extent, 1))
+                assert np.array_equal(poly.contains(ij * h), old)
+                assert g.n == int(old.sum())
+
     def test_self_intersecting_rejected(self):
         with pytest.raises(es.GeometryError):
             es.Polygon([(0, 0), (1, 1), (1, 0), (0, 1)])
