@@ -6,7 +6,10 @@ Lanczos kernel whose Jacobi matrices give Gauss rules for quadratic forms
 One exact-sum kernel, exact_sum, serves every sum over a grid- or
 series-sized array: quadrature here, heat sums in analysis, the closed-form
 series in moments and the grid volume in spectral. It returns math.fsum's
-correctly rounded float, bit for bit, with whole-array work.
+correctly rounded float, bit for bit. Terms far enough below the largest are
+set aside under a bound that certifies the rounded result, so a series
+costs only its significant terms; when the bound cannot decide the rounding,
+every term is summed.
 
 Everything is built around a symmetrized representation. With W the diagonal
 of quadrature weights and M the operator in node space, the matrix
@@ -230,6 +233,34 @@ def lanczos(apply, start):
 
 
 EXACT_SUM_SLICE = 1 << 26  # terms per bincount; keeps every bucket sum exact
+EXACT_SUM_GUARD = 8  # binades between the largest term's last bit and the cut
+
+
+def _fixed_point(m, k, buckets):
+    """The exact sum of the terms m 2^(e0 + k), from frexp significands m
+    and bucket indices k in [0, buckets), as an int in units of 2^(e0 - 53)."""
+    total = 0
+    for s in range(0, m.size, EXACT_SUM_SLICE):
+        lo = m[s:s + EXACT_SUM_SLICE] * 2.0 ** 26
+        hi = np.floor(lo)
+        lo -= hi
+        lo *= 2.0 ** 27
+        ks = k[s:s + EXACT_SUM_SLICE].astype(np.intp)
+        his = np.bincount(ks, weights=hi, minlength=buckets).tolist()
+        los = np.bincount(ks, weights=lo, minlength=buckets).tolist()
+        acc = 0
+        for b in range(buckets - 1, -1, -1):
+            acc = (acc << 1) + (int(his[b]) << 27) + int(los[b])
+        total += acc
+    return total
+
+
+def _round(total, e0):
+    """The float nearest total 2^(e0 - 53), ties to even, as fsum rounds."""
+    # int / int and float(int) round once, half to even
+    if e0 >= 53:
+        return float(total << (e0 - 53))
+    return total / (1 << (53 - e0))
 
 
 def exact_sum(values) -> float:
@@ -240,37 +271,45 @@ def exact_sum(values) -> float:
     (hi 2^27 + lo) 2^(e - 53). One bincount per part adds them per exponent
     in float64, exactly while a slice holds at most 2^26 terms; the buckets
     then fold into one Python int, which is rounded once (Demmel & Hida 2003,
-    Accurate and efficient floating point summation). Non-finite terms, and
-    magnitudes where fsum could overflow midway, go to math.fsum itself, so
-    NaN, inf, ValueError and OverflowError behave as there.
+    Accurate and efficient floating point summation).
+
+    Terms below 2^cut in magnitude, cut = e_max - 53 - EXACT_SUM_GUARD -
+    bitlen(n) with e_max the largest term's exponent, are set aside before
+    the split. Their sum is below B = n_dropped 2^cut in magnitude, so when
+    T - B and T + B, T the exact sum of the kept terms, have one sign and
+    round to one float, the whole sum rounds to it too, because rounding is
+    monotone (Ziv 1991). Otherwise every term is summed. A series whose
+    terms fall over many binades costs only its significant terms; an array
+    whose range reaches no term below the cut is summed whole at once.
+    Non-finite terms, and magnitudes where fsum could overflow midway, go to
+    math.fsum itself, so NaN, inf, ValueError and OverflowError behave as
+    there.
     """
     x = np.asarray(values, dtype=float).ravel()
     if x.size == 0:
         return 0.0
-    if not np.isfinite(x).all():
+    top, bottom = float(x.max()), float(x.min())    # NaN propagates
+    if not (math.isfinite(top) and math.isfinite(bottom)):
         return math.fsum(x)
+    e_max, nbits = math.frexp(max(top, -bottom))[1], x.size.bit_length()
+    if e_max + nbits > 1022:
+        return math.fsum(x)
+    cut = e_max - 53 - EXACT_SUM_GUARD - nbits
+    small = math.ldexp(1.0, cut)   # a nonzero term is below it iff e <= cut
+    if bottom < small and top > -small:
+        keep = np.flatnonzero((x >= small) | (x <= -small))
+        if keep.size < x.size:
+            m, e = np.frexp(x[keep])
+            # kept terms in units of 2^(cut - 52), where B is n_dropped 2^52
+            total = _fixed_point(m, e - (cut + 1), e_max - cut)
+            bound = (x.size - keep.size) << 52
+            lo, hi = total - bound, total + bound
+            if ((lo > 0 or hi < 0)
+                    and _round(lo, cut + 1) == _round(hi, cut + 1)):
+                return _round(lo, cut + 1)
     m, e = np.frexp(x)
-    if int(e.max()) + x.size.bit_length() > 1022:
-        return math.fsum(x)
     e0 = int(e.min())
-    k = e - e0
-    buckets = int(k.max()) + 1
-    total = 0
-    for s in range(0, x.size, EXACT_SUM_SLICE):
-        part = m[s:s + EXACT_SUM_SLICE] * 2.0 ** 26
-        hi = np.floor(part)
-        lo = (part - hi) * 2.0 ** 27
-        ks = k[s:s + EXACT_SUM_SLICE]
-        his = np.bincount(ks, weights=hi, minlength=buckets).tolist()
-        los = np.bincount(ks, weights=lo, minlength=buckets).tolist()
-        acc = 0
-        for b in range(buckets - 1, -1, -1):
-            acc = (acc << 1) + (int(his[b]) << 27) + int(los[b])
-        total += acc
-    # int / int and float(int) round once, half to even, as fsum does
-    if e0 >= 53:
-        return float(total << (e0 - 53))
-    return total / (1 << (53 - e0))
+    return _round(_fixed_point(m, e - e0, int(e.max()) - e0 + 1), e0)
 
 
 def integrate(f: Field) -> float:

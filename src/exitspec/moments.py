@@ -36,9 +36,12 @@ class MomentSequence:
         self.mu_exact = mu_exact
         self.stderr = stderr
         if lambda1 is None and self.n_max >= 1:
-            # A_{n+1}/((n+1) A_n) decreases to 2/lambda_1 from above
+            # A_{n+1}/((n+1) A_n) decreases to 2/lambda_1 from above; bad
+            # moments leave it None, for validate() to name them
             n = self.n_max
-            lambda1 = 2.0 * n * self.A[n - 1] / self.A[n]
+            prev, last = self.A[n - 1], self.A[n]
+            if 0 < prev < math.inf and 0 < last < math.inf:
+                lambda1 = 2.0 * n * prev / last
         self.lambda1 = lambda1
 
     def validate(self, positive=True):
@@ -232,13 +235,20 @@ def analytic_moments(spec: DomainSpec, n_max: int) -> MomentSequence:
     if isinstance(spec, Rectangle):
         K = 399
         i = np.arange(1, K + 1, 2, dtype=float)
-        lam = np.pi ** 2 * (i[:, None] ** 2 / spec.Lx ** 2
-                            + i[None, :] ** 2 / spec.Ly ** 2)
-        a2 = 64.0 * spec.Lx * spec.Ly / (i[:, None] ** 2 * i[None, :] ** 2
-                                         * np.pi ** 4)
+        # r = 2/lambda and a^2 of the odd tensor modes, by the float
+        # operations of the textbook expressions but in place: two
+        # 200 x 200 arrays where the expressions build six
+        r = i[:, None] ** 2 / spec.Lx ** 2 + i[None, :] ** 2 / spec.Ly ** 2
+        r *= np.pi ** 2
+        np.divide(2.0, r, out=r)
+        a2 = i[:, None] ** 2 * i[None, :] ** 2
+        a2 *= np.pi ** 4
+        np.divide(64.0 * spec.Lx * spec.Ly, a2, out=a2)
         mu = [spec.volume()]
         for n in range(1, n_max + 1):
-            mu.append(exact_sum(a2 * (2.0 / lam) ** n))
+            t = r ** n
+            t *= a2
+            mu.append(exact_sum(t))
         lam1 = np.pi ** 2 * (1.0 / spec.Lx ** 2 + 1.0 / spec.Ly ** 2)
         A = [m * math.factorial(n) for n, m in enumerate(mu)]
         return MomentSequence(A, "analytic", lambda1=lam1)
@@ -246,9 +256,12 @@ def analytic_moments(spec: DomainSpec, n_max: int) -> MomentSequence:
         j0 = _j0_zeros()
         lam = j0 ** 2 / spec.R ** 2
         a2 = 4.0 * math.pi * spec.R ** 2 / j0 ** 2
+        r = 2.0 / lam
         mu = [spec.volume()]
         for n in range(1, n_max + 1):
-            mu.append(exact_sum(a2 * (2.0 / lam) ** n))
+            t = r ** n
+            t *= a2
+            mu.append(exact_sum(t))
         A = [m * math.factorial(n) for n, m in enumerate(mu)]
         return MomentSequence(A, "analytic", lambda1=float(lam[0]))
     raise ValueError(f"no closed-form moments for {spec!r}")

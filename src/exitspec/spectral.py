@@ -29,10 +29,15 @@ class SpectralData:
         for (l1, _, a1), (l2, _, _) in zip(entries, entries[1:]):
             if not l1 < l2:
                 raise ValueError("eigenvalues must be strictly increasing")
+        # quadrature dust from a squared projection is small against the
+        # spectrum's scale: its volume, else its largest weight; with
+        # neither, there is no scale to go by and the unit one stays
+        scale = volume if volume is not None else max(
+            (a for _, _, a in entries if a > 0), default=1.0)
         clamped = []
         for l, m, a in entries:
-            if a < 0 and a > -1e-14:
-                a = 0.0  # quadrature dust from a squared projection
+            if a < 0 and a > -1e-14 * scale:
+                a = 0.0
             if l <= 0 or a < 0:
                 raise ValueError(f"bad entry lambda={l}, a2={a}")
             clamped.append((l, m, a))

@@ -97,6 +97,30 @@ def disk_exact_moment1(r):
     return math.pi * r ** 4 / 4.0
 
 
+def series_moments_fsum(spec, n_max):
+    """A_0..A_{n_max} and mu_0..mu_{n_max} of a rectangle (spec.Lx, spec.Ly)
+    or a disk (spec.R) from the closed-form series, each order summed by
+    math.fsum over the same float terms the package forms: 200 x 200 odd
+    tensor modes, or the first 2000 zeros of J_0, with mu_0 the volume."""
+    if hasattr(spec, "R"):
+        from scipy.special import jn_zeros
+        j0 = jn_zeros(0, 2000)
+        lam = j0 ** 2 / spec.R ** 2
+        a2 = 4.0 * math.pi * spec.R ** 2 / j0 ** 2
+        mu = [math.pi * spec.R ** 2]
+    else:
+        i = np.arange(1, 400, 2, dtype=float)
+        lam = np.pi ** 2 * (i[:, None] ** 2 / spec.Lx ** 2
+                            + i[None, :] ** 2 / spec.Ly ** 2)
+        a2 = 64.0 * spec.Lx * spec.Ly / (i[:, None] ** 2 * i[None, :] ** 2
+                                         * np.pi ** 4)
+        mu = [spec.Lx * spec.Ly]
+    for n in range(1, n_max + 1):
+        mu.append(math.fsum((a2 * (2.0 / lam) ** n).ravel()))
+    A = [m * math.factorial(n) for n, m in enumerate(mu)]
+    return A, [a / math.factorial(n) for n, a in enumerate(A)]
+
+
 def _det(rows):
     """Determinant of a square matrix of Fractions by exact elimination."""
     a = [list(r) for r in rows]

@@ -140,6 +140,22 @@ def test_analytic_moments_follow_dilations(spec, d, dilate):
         assert ms.lambda1 == pytest.approx(base.lambda1 / c ** 2, rel=1e-14)
 
 
+@pytest.mark.parametrize("k", range(-3, 4))
+def test_series_moments_match_fsum_oracle(k):
+    """Rectangle and disk series, bit for bit against math.fsum over the
+    same terms, whatever the platform's numpy kernels give for the terms."""
+    c = 10.0 ** k
+    specs = [es.Rectangle(c, ar * c) for ar in (1.0, 1.7, 2.5, 4.0)]
+    for spec in specs + [es.Disk(c)]:
+        want_A, want_mu = oracles.series_moments_fsum(spec, 25)
+        for n_max in (1, 9, 17, 25):
+            ms = es.analytic_moments(spec, n_max)
+            assert ([a.hex() for a in ms.A]
+                    == [a.hex() for a in want_A[:n_max + 1]]), (spec, n_max)
+            assert ([m.hex() for m in ms.mu]
+                    == [m.hex() for m in want_mu[:n_max + 1]]), (spec, n_max)
+
+
 class TestPde:
     def test_interval_convergence_order(self):
         errs = []
@@ -200,6 +216,17 @@ def test_lambda1_estimated_from_tail():
     ms = es.MomentSequence(es.analytic_moments(es.Interval(0, 1), 8).A,
                            "analytic")
     assert ms.lambda1 == pytest.approx(math.pi ** 2, rel=1e-4)
+
+
+@pytest.mark.parametrize("a1", [0.0, -0.0, -0.5, math.nan, math.inf])
+def test_bad_moment_is_named_not_divided_by(a1):
+    """The lambda_1 estimate needs a positive finite tail; without one it
+    stays None, and the checks name the bad moment."""
+    ms = es.MomentSequence([1.0, a1], "pde")
+    assert ms.lambda1 is None
+    for check in (ms.validate, lambda: es.carleman_diagnostic(ms)):
+        with pytest.raises(ValueError, match="A_1 = "):
+            check()
 
 
 def test_csv_round_trip(tmp_path, interval_pde_512):

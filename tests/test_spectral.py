@@ -106,6 +106,25 @@ class TestStructures:
         sd = es.SpectralData([(1.0, 1, -1e-15)], "analytic")
         assert sd.weights() == [0.0]
 
+    @pytest.mark.parametrize("with_volume", [True, False])
+    def test_weight_clamp_follows_dilations(self, with_volume):
+        """Dust is relative to the spectrum's scale, c^2 for a planar domain
+        dilated by c: its volume, or its largest weight without one."""
+        for k in range(-6, 7):
+            c = 10.0 ** (k / 2)
+            vol = c * c if with_volume else None
+            scale = c * c if with_volume else 0.8 * c * c
+
+            def spectrum(a2):
+                return es.SpectralData([(10.0 / c ** 2, 1, 0.8 * c * c),
+                                        (90.0 / c ** 2, 1, a2)],
+                                       "analytic", volume=vol)
+            assert spectrum(-0.5e-14 * scale).weights() == [0.8 * c * c, 0.0]
+            with pytest.raises(ValueError, match="bad entry"):
+                spectrum(-1e-10 * scale)
+        big = es.SpectralData([(10.0, 1, -2e-14)], "analytic", volume=1e6)
+        assert big.weights() == [0.0]
+
     def test_csv_round_trip(self, tmp_path):
         sd = es.analytic_spectrum(es.Rectangle(1, 2), 5)
         path = tmp_path / "spec.csv"
