@@ -7,9 +7,10 @@ down. Conditioning of Hankel sections degrades geometrically in p, so the
 atom count is capped from the (diagonally balanced) singular values against
 the moment noise floor. One back end recovers the atoms: Gautschi's
 Chebyshev algorithm turns the moments into the recurrence coefficients of
-the Jacobi matrix, and Golub-Welsch (one float64 tridiagonal eigensolve)
-gives nodes and weights. The precision only picks the arithmetic of the
-recurrence: float64 for "standard", exact fractions for "extended".
+the Jacobi matrix in exact rationals, and Golub-Welsch (one float64
+tridiagonal eigensolve) gives nodes and weights. The precision only picks
+the input moments and the cap's noise floor: "extended" takes the exact
+moments where the sequence carries them, under a far lower floor.
 """
 
 from __future__ import annotations
@@ -92,15 +93,15 @@ def hankel_psd_check(ms: MomentSequence, p: int, eps_psd: float = 1e-9):
     Non-finite moments raise ValueError; nonpositive ones are left to the
     eigenvalue test."""
     ms.validate(positive=False)
+    if p < 1:
+        raise ValueError("p must be >= 1")
     if 2 * p > ms.n_max + 1:
         raise ValueError(f"p={p} needs moments up to 2p-1={2*p-1}, "
                          f"have n_max={ms.n_max}")
     report = {"p": p, "pass": True}
     for name, shift in (("H0", 0), ("H1", 1)):
-        if 2 * p - 2 + shift > ms.n_max:
-            raise ValueError(f"not enough moments for {name} at p={p}")
         H = _hankel(ms.mu, p, shift)
-        ev = np.linalg.eigvalsh((H + H.T) / 2.0)
+        ev = np.linalg.eigvalsh(H)
         report[name + "_min_eig"] = float(ev[0])
         report[name + "_trace"] = float(np.trace(H))
         if ev[0] < -eps_psd * np.trace(H):
@@ -123,59 +124,34 @@ def atom_count_cap(ms: MomentSequence, p_max: int, floor: float = None) -> int:
         if ms.stderr is not None:
             rel = max(s / abs(a) for s, a in zip(ms.stderr, ms.A) if a != 0)
             floor = max(floor, rel)
+    # D is the diagonal, so every balanced section is a leading block of
+    # the largest one
+    top = min(p_max, (ms.n_max + 1) // 2)
+    if top < 1:
+        return 0
+    H = _hankel(ms.mu, top, 0)
+    d = np.sqrt(np.diag(H))
+    B = H / np.outer(d, d)
     best = 0
-    for p in range(1, p_max + 1):
-        if 2 * p - 1 > ms.n_max:
-            break
-        H = _hankel(ms.mu, p, 0)
-        d = np.sqrt(np.diag(H))
-        sv = np.linalg.svd(H / np.outer(d, d), compute_uv=False)
+    for p in range(1, top + 1):
+        sv = np.linalg.svd(B[:p, :p], compute_uv=False)
         if sv[-1] >= CAP_SAFETY * floor:
             best = p
     return best
 
 
-def _recurrence(mu, p, num=Fraction):
+def _recurrence(mu, p):
     """Three-term recurrence coefficients alpha_0..alpha_{p-1} and
     beta_0..beta_{p-1} of the monic orthogonal polynomials of the measure
     with moments mu_0..mu_{2p-1}, pi_{k+1} = (x - alpha_k) pi_k
     - beta_k pi_{k-1} with beta_0 = mu_0, by Gautschi's Chebyshev
-    algorithm in the arithmetic of the number type num (Fraction for exact
-    rationals, which run on integer rows in _exact_recurrence, float for
-    float64).
+    algorithm in exact rationals (float moments are taken as the dyadic
+    rationals they are).
 
     sigma[l] = <pi_k, x^l> for l = k..2p-k-1. Its pivot sigma[k] =
     <pi_k, pi_k> is the ratio of consecutive Hankel determinants, so a
-    nonpositive pivot means H0 is not (numerically) positive definite.
-    """
-    if num is Fraction:
-        return _exact_recurrence(mu, p)
-    n = 2 * p
-    prev, sigma = [0] * n, [num(m) for m in mu[:n]]
-    alpha, beta = [], []
-    for k in range(p):
-        _check_pivot(sigma[k], k, p)
-        # at k = 0 the previous row is sigma_{-1} = 0
-        alpha.append(sigma[k + 1] / sigma[k]
-                     - (prev[k] / prev[k - 1] if k else 0))
-        beta.append(sigma[k] / prev[k - 1] if k else sigma[0])
-        a, b = alpha[k], beta[k]
-        prev, sigma = sigma, [0] * (k + 1) + [
-            sigma[l + 1] - a * sigma[l] - b * prev[l]
-            for l in range(k + 1, n - k - 1)]
-    return alpha, beta
-
-
-def _check_pivot(pivot, k, p):
-    if pivot <= 0:
-        raise InversionError(f"H0 numerically rank deficient at p={p} "
-                             f"(pivot k={k}); reduce p")
-
-
-def _exact_recurrence(mu, p):
-    """The Chebyshev algorithm of _recurrence in exact rationals, with each
-    sigma row held as Python-int numerators s over one positive
-    denominator d, sigma[l] = s[l] / d.
+    nonpositive pivot means H0 is not positive definite. Each row is
+    Python-int numerators s over one positive denominator d, sigma = s / d.
 
     alpha_k and beta_k are ratios within a row and across rows, so d only
     enters beta. With the previous row (r, e), the update
@@ -206,8 +182,10 @@ def _exact_recurrence(mu, p):
     r, e = [0] * n + [1], 1
     alpha, beta = [], []
     for k in range(p):
-        _check_pivot(s[k], k, p)
         sk, rk1 = s[k], r[k - 1]
+        if sk <= 0:
+            raise InversionError(f"H0 numerically rank deficient at p={p} "
+                                 f"(pivot k={k}); reduce p")
         c = s[k + 1] * rk1 - r[k] * sk
         alpha.append(Fraction(c * qd, sk * rk1 * qn))
         beta.append(Fraction(sk * e * qd * qd, d * rk1 * qn * qn) if k
@@ -242,11 +220,11 @@ def invert_moments(ms: MomentSequence, p: int,
     """Solve the truncated Stieltjes moment problem for p atoms.
 
     The moments mu_0..mu_{2p-1} give the three-term recurrence coefficients
-    of the Jacobi matrix, and the nodes and weights are its Gauss rule from
-    one float64 tridiagonal eigensolve. precision picks the arithmetic of
-    the recurrence: "standard" runs it in float64, "extended" in exact
-    rationals (from the exact moments when the sequence carries them, else
-    from the float moments taken exactly).
+    of the Jacobi matrix in exact rationals, and the nodes and weights are
+    its Gauss rule from one float64 tridiagonal eigensolve. precision picks
+    the input moments and the cap's floor: "extended" takes the exact
+    moments when the sequence carries them, against a floor of 1e-26;
+    without them both precisions give the same atoms.
 
     The requested p is capped by atom_count_cap; the effective value is in
     diagnostics["p_effective"].
@@ -271,9 +249,8 @@ def invert_moments(ms: MomentSequence, p: int,
     if cap < 1:
         raise InversionError("moment noise floor leaves no recoverable atoms")
     p_eff = min(p, cap)
-    num = Fraction if precision == "extended" else float
     mu = ms.mu_exact if exact else ms.mu
-    nodes, weights = _golub_welsch(*_recurrence(mu, p_eff, num))
+    nodes, weights = _golub_welsch(*_recurrence(mu, p_eff))
 
     atoms = []
     dropped = []

@@ -160,6 +160,22 @@ def recurrence_from_hankel_determinants(mu, p):
     return alpha, beta
 
 
+def atom_count_cap_per_section(mu, p_max, floor, safety=1e3):
+    """Largest p <= p_max (and 2p <= len(mu)) whose balanced Hankel section
+    D^{-1/2} [mu_{i+j}]_{i,j<p} D^{-1/2}, D its diagonal, built on its own
+    for each p, has its p-th singular value >= safety * floor; 0 if none."""
+    best = 0
+    for p in range(1, p_max + 1):
+        if 2 * p > len(mu):
+            break
+        H = np.array([[mu[i + j] for j in range(p)] for i in range(p)])
+        d = np.sqrt(np.diag(H))
+        sv = np.linalg.svd(H / np.outer(d, d), compute_uv=False)
+        if sv[-1] >= safety * floor:
+            best = p
+    return best
+
+
 def monic_orthogonal_value(alpha, beta, x):
     """pi_p(x) exactly, p = len(alpha), from the three-term recurrence."""
     prev, cur = Fraction(0), Fraction(1)

@@ -1,8 +1,8 @@
 """Kernels of the Stieltjes inversion on the Hilbert matrix, the Hankel
 matrix of the Lebesgue measure on [0, 1] (mu_n = 1/(n+1)), whose
 recurrence and Gauss rule are known in closed form: the Chebyshev-algorithm
-recurrence in exact rationals and in float64, and the Golub-Welsch
-Jacobi-matrix eigensolve that turns it into nodes and weights.
+recurrence in exact rationals, on exact and on float moments, and the
+Golub-Welsch Jacobi-matrix eigensolve that turns it into nodes and weights.
 """
 
 from fractions import Fraction
@@ -58,12 +58,11 @@ def test_cholesky_reconstructs_hilbert():
 
 
 def test_float_recurrence_gauss_legendre():
-    # the standard path runs the recurrence in float64 before the same
-    # Golub-Welsch eigensolve; on the Hilbert section its nodes and weights
-    # are the Gauss-Legendre rule on [0, 1]
+    # the rounded moments 1/(n+1), taken exactly by the recurrence, still
+    # give the Gauss-Legendre rule on [0, 1] through Golub-Welsch
     p = 4
     mu = [float(m) for m in hilbert_moments(2 * p)]
-    nodes, weights = _golub_welsch(*_recurrence(mu, p, float))
+    nodes, weights = _golub_welsch(*_recurrence(mu, p))
     want_x, want_w = gauss_legendre_01(p)
     assert nodes == pytest.approx(want_x, rel=1e-11)
     assert weights == pytest.approx(want_w, rel=1e-11)

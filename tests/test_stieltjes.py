@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -35,11 +36,83 @@ class TestHankel:
         rep = es.hankel_psd_check(ms, 3)
         assert not rep["pass"]
 
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_rejects_p_below_one(self, p):
+        ms = es.analytic_moments(es.Interval(0, 1), 5)
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            es.hankel_psd_check(ms, p)
+
+    def test_moments_near_float_max_do_not_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = es.hankel_psd_check(es.MomentSequence([1e308] * 3, "pde"),
+                                      1)
+        assert rep["pass"]
+        assert rep["H0_min_eig"] == rep["H0_trace"] == 1e308
+
+    @pytest.mark.parametrize("atoms", [
+        [(0.4, 5e6), (0.2, 3e6), (0.1, 1e6)],
+        [(0.4, 8e6), (0.2, -1e6), (0.1, 2e6)]],
+        ids=["positive", "signed"])
+    def test_dilation_by_two_to_the_1000(self, atoms):
+        """Scaling every moment by 2^1000 puts the largest Hankel entries
+        within a factor 2 of the float maximum; the verdict and the
+        scale-free min_eig / trace stay those of the unscaled sequence."""
+        ms = atomic_sequence(atoms, 5)
+        big = es.MomentSequence([math.ldexp(a, 1000) for a in ms.A], "pde")
+        assert max(big.mu) > 2.0 ** 1023
+        base = es.hankel_psd_check(ms, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = es.hankel_psd_check(big, 3)
+        assert rep["pass"] == base["pass"] == (min(w for _, w in atoms) > 0)
+        for name in ("H0", "H1"):
+            assert rep[name + "_min_eig"] / rep[name + "_trace"] == \
+                pytest.approx(base[name + "_min_eig"] / base[name + "_trace"],
+                              rel=1e-12)
+
     def test_cap_analytic_vs_pde(self, interval_pde_512):
         exact = es.analytic_moments(es.Interval(0, 1), 9)
         assert es.atom_count_cap(exact, 5) == 5
         # discretization noise at h=1/512 supports one atom fewer
         assert es.atom_count_cap(interval_pde_512[0], 5) == 4
+
+
+def cap_cases():
+    """(sequence, floor of its noise model) across provenances, scales and
+    stderr, plus a sequence with mu_0 alone."""
+    for spec in (es.Interval(0, 1), es.Rectangle(1, 2.5), es.Disk(1)):
+        A = es.analytic_moments(spec, 15).A
+        for c in (1e-3, 1.0, 1e3):
+            scaled = [a * c ** (2 * n + spec.dim) for n, a in enumerate(A)]
+            yield es.MomentSequence(scaled, "analytic"), 2.3e-16
+            yield es.MomentSequence(scaled, "pde"), 1e-11
+            yield es.MomentSequence(scaled, "montecarlo"), 1e-3
+            for rel in (1e-14, 1e-7):
+                stderr = [rel * (n + 1) * a for n, a in enumerate(scaled)]
+                yield (es.MomentSequence(scaled, "pde", stderr=stderr),
+                       max(1e-11, *(s / a for s, a in zip(stderr, scaled))))
+    yield es.MomentSequence([2.0], "analytic"), 2.3e-16
+
+
+class TestCap:
+    def test_one_build_matches_per_section_oracle(self, interval_pde_512):
+        """The cap takes every balanced section as a leading block of the
+        largest one; it must give what building each section on its own
+        gives, under the provenance floor, a stderr floor and 1e-26."""
+        cases = list(cap_cases()) + [(interval_pde_512[0], 1e-11)]
+        for ms, floor in cases:
+            for p_max in (0, 1, 3, 8, 12):
+                assert es.atom_count_cap(ms, p_max) == \
+                    oracles.atom_count_cap_per_section(ms.mu, p_max, floor)
+                assert es.atom_count_cap(ms, p_max, floor=1e-26) == \
+                    oracles.atom_count_cap_per_section(ms.mu, p_max, 1e-26)
+
+    def test_no_atoms_from_mu_0_alone(self):
+        ms = es.MomentSequence([2.0], "analytic")
+        assert ms.n_max == 0
+        assert es.atom_count_cap(ms, 4) == 0
+        assert es.atom_count_cap(ms, 4, floor=1e-26) == 0
 
 
 class TestInvert:
@@ -103,9 +176,33 @@ class TestInvert:
         x2_true = oracles.interval_true_atoms(2)[1][0]
         err_std = abs(std.atoms[1][0] - x2_true) / x2_true
         err_ext = abs(ext.atoms[1][0] - x2_true) / x2_true
-        assert err_std > 1e-6          # float64 route is truncation-limited
+        assert err_std > 1e-6          # float moments cap at p = 5
         assert err_ext < 1e-7          # six atoms cut the truncation error
         assert err_ext < err_std / 50
+
+    @pytest.mark.parametrize("kind", ["rectangle", "disk", "interval-pde",
+                                      "rectangle-pde"])
+    def test_precisions_agree_without_exact_moments(self, kind):
+        """Without mu_exact both precisions run the one exact recurrence on
+        the float moments under the same cap, so they give the same atoms
+        and residuals."""
+        for c in (1e-3, 1e-1, 1.0, 10.0, 1e3):
+            if kind == "rectangle":
+                ms = es.analytic_moments(es.Rectangle(c, 2.5 * c), 15)
+            elif kind == "disk":
+                ms = es.analytic_moments(es.Disk(c), 15)
+            elif kind == "interval-pde":
+                ms = es.pde_moments(es.Interval(0, c), c / 128, 15)[0]
+            else:
+                ms = es.pde_moments(es.Rectangle(c, 1.3 * c), c / 16, 15)[0]
+            assert ms.mu_exact is None
+            for p in range(1, 9):
+                std = es.invert_moments(ms, p, "standard")
+                ext = es.invert_moments(ms, p, "extended")
+                assert std.atoms == ext.atoms
+                for key in ("p_effective", "dropped_atoms",
+                            "moment_residuals"):
+                    assert std.diagnostics[key] == ext.diagnostics[key]
 
     def test_recurrence_matches_hankel_determinants(self):
         mu = es.analytic_moments(es.Interval(0, 1), 17).mu_exact
@@ -127,14 +224,12 @@ class TestInvert:
             -math.prod(x for x, _ in atoms)
 
     def test_recurrence_rejects_indefinite_hankel(self):
-        # moments of a signed measure: the second pivot is negative; those
-        # of one atom at 1/2 leave the second pivot exactly zero, in float
-        # as well as in rationals
+        # float moments of a signed measure: the second pivot is negative;
+        # those of one atom at 1/2 leave the second pivot exactly zero
         ms = atomic_sequence([(1.0, 1.0), (2.0, -0.5)], 3)
-        for num in (Fraction, float):
-            for mu in (ms.mu, [1.0, 0.5, 0.25, 0.125]):
-                with pytest.raises(es.InversionError, match="rank deficient"):
-                    _recurrence(mu, 2, num)
+        for mu in (ms.mu, [1.0, 0.5, 0.25, 0.125]):
+            with pytest.raises(es.InversionError, match="rank deficient"):
+                _recurrence(mu, 2)
 
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
@@ -180,17 +275,16 @@ class TestInvert:
         [(1.0, -1.0), (2.0, 0.5)]])
     def test_signed_measure_fails_at_the_same_pivot_in_both_arithmetics(
             self, atoms):
-        """Both arithmetics stop at the first nonpositive ratio of
+        """The float moments stop at the first nonpositive ratio of
         consecutive Hankel determinants, pivot k with beta_k <= 0; so do
         the exact moments over 3, which are not dyadic."""
         p = len(atoms)
         mu = [math.fsum(w * x ** n for x, w in atoms) for n in range(2 * p)]
         _, beta = oracles.recurrence_from_hankel_determinants(mu, p)
         k = next(k for k, b in enumerate(beta) if b <= 0)
-        for moments, num in ((mu, Fraction), (mu, float),
-                             ([Fraction(m) / 3 for m in mu], Fraction)):
+        for moments in (mu, [Fraction(m) / 3 for m in mu]):
             with pytest.raises(es.InversionError, match=rf"\(pivot k={k}\)"):
-                _recurrence(moments, p, num)
+                _recurrence(moments, p)
 
     @pytest.mark.parametrize("precision", ["standard", "extended"])
     @pytest.mark.parametrize("spec, d", [(es.Interval(0, 1), 1),
