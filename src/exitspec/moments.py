@@ -219,7 +219,11 @@ def analytic_moments(spec: DomainSpec, n_max: int) -> MomentSequence:
 
     Interval values are exact rationals (scaled by length); rectangle and
     disk use spectral sums with mu_0 pinned to the exact volume (the n >= 1
-    sums converge rapidly, the mass sum does not). A negative n_max raises
+    sums converge rapidly, the mass sum does not). Each order's terms are
+    the previous order's times r = 2/lambda, from a^2 at order 0, and each
+    sum is correctly rounded. IEEE multiplication is correctly rounded under
+    every numpy SIMD dispatch, where numpy's vectorized pow is not, so the
+    series moments do not depend on the CPU. A negative n_max raises
     ValueError.
     """
     if n_max < 0:
@@ -246,9 +250,8 @@ def analytic_moments(spec: DomainSpec, n_max: int) -> MomentSequence:
         np.divide(64.0 * spec.Lx * spec.Ly, a2, out=a2)
         mu = [spec.volume()]
         for n in range(1, n_max + 1):
-            t = r ** n
-            t *= a2
-            mu.append(exact_sum(t))
+            a2 *= r                     # now order n's terms, a^2 r^n
+            mu.append(exact_sum(a2))
         lam1 = np.pi ** 2 * (1.0 / spec.Lx ** 2 + 1.0 / spec.Ly ** 2)
         A = [m * math.factorial(n) for n, m in enumerate(mu)]
         return MomentSequence(A, "analytic", lambda1=lam1)
@@ -259,9 +262,8 @@ def analytic_moments(spec: DomainSpec, n_max: int) -> MomentSequence:
         r = 2.0 / lam
         mu = [spec.volume()]
         for n in range(1, n_max + 1):
-            t = r ** n
-            t *= a2
-            mu.append(exact_sum(t))
+            a2 *= r
+            mu.append(exact_sum(a2))
         A = [m * math.factorial(n) for n, m in enumerate(mu)]
         return MomentSequence(A, "analytic", lambda1=float(lam[0]))
     raise ValueError(f"no closed-form moments for {spec!r}")

@@ -89,7 +89,9 @@ def _hankel(mu, p, shift):
 def hankel_psd_check(ms: MomentSequence, p: int, eps_psd: float = 1e-9):
     """Positive semidefiniteness of H_p = [mu_{i+j}] and the shifted
     H'_p = [mu_{i+j+1}]: the solvability certificate for the Stieltjes
-    problem. Pass iff both smallest eigenvalues >= -eps_psd * trace.
+    problem. Pass iff both smallest eigenvalues >= -eps_psd * trace, compared
+    in units of the largest diagonal magnitude, so the verdict holds where
+    the trace of finite moments overflows (the reported trace is then inf).
     Non-finite moments raise ValueError; nonpositive ones are left to the
     eigenvalue test."""
     ms.validate(positive=False)
@@ -102,9 +104,12 @@ def hankel_psd_check(ms: MomentSequence, p: int, eps_psd: float = 1e-9):
     for name, shift in (("H0", 0), ("H1", 1)):
         H = _hankel(ms.mu, p, shift)
         ev = np.linalg.eigvalsh(H)
+        diag = np.diag(H)
+        m = float(np.abs(diag).max()) or 1.0
         report[name + "_min_eig"] = float(ev[0])
-        report[name + "_trace"] = float(np.trace(H))
-        if ev[0] < -eps_psd * np.trace(H):
+        with np.errstate(over="ignore"):
+            report[name + "_trace"] = float(np.trace(H))
+        if float(ev[0]) / m < -eps_psd * float(np.sum(diag / m)):
             report["pass"] = False
     return report
 
@@ -118,6 +123,11 @@ def atom_count_cap(ms: MomentSequence, p_max: int, floor: float = None) -> int:
 
     floor overrides the provenance noise model; pass the arithmetic epsilon
     of the downstream factorization when the moments themselves are exact.
+
+    The scan runs from the largest section down and stops at the first that
+    passes, which is the largest passing p whatever the pass pattern. On a
+    positive definite section sigma_min is non-increasing in p (Cauchy
+    interlacing of leading blocks), so a cap of c costs top - c + 1 SVDs.
     """
     if floor is None:
         floor = NOISE_FLOOR.get(ms.provenance, 1e-11)
@@ -132,12 +142,11 @@ def atom_count_cap(ms: MomentSequence, p_max: int, floor: float = None) -> int:
     H = _hankel(ms.mu, top, 0)
     d = np.sqrt(np.diag(H))
     B = H / np.outer(d, d)
-    best = 0
-    for p in range(1, top + 1):
+    for p in range(top, 0, -1):
         sv = np.linalg.svd(B[:p, :p], compute_uv=False)
         if sv[-1] >= CAP_SAFETY * floor:
-            best = p
-    return best
+            return p
+    return 0
 
 
 def _recurrence(mu, p):
@@ -206,11 +215,22 @@ def _golub_welsch(alpha, beta):
     """Nodes (decreasing) and weights of the Gauss rule of the Jacobi
     matrix with diagonal alpha and off-diagonal sqrt(beta_1..): its
     eigenvalues, and beta_0 times the squared first eigenvector
-    components."""
-    import scipy.linalg as sla
+    components (Golub & Welsch 1969).
+
+    One call of LAPACK's dstevd, the driver eigh_tridiagonal picks for all
+    eigenpairs, without that wrapper's input checks: the entries are finite
+    by construction. A 1 x 1 matrix is its own eigensolve, and a nonzero
+    LAPACK info raises LinAlgError."""
+    from scipy.linalg.lapack import dstevd
     d = np.array([float(a) for a in alpha])
     e = np.sqrt([float(b) for b in beta[1:]])
-    nodes, V = sla.eigh_tridiagonal(d, e)
+    if d.size == 1:
+        nodes, V = d, np.ones((1, 1))
+    else:
+        nodes, V, info = dstevd(d, e, compute_v=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"LAPACK dstevd failed on the Jacobi matrix (info={info})")
     weights = float(beta[0]) * V[0] ** 2
     return list(nodes[::-1]), list(weights[::-1])
 

@@ -101,7 +101,8 @@ def series_moments_fsum(spec, n_max):
     """A_0..A_{n_max} and mu_0..mu_{n_max} of a rectangle (spec.Lx, spec.Ly)
     or a disk (spec.R) from the closed-form series, each order summed by
     math.fsum over the same float terms the package forms: 200 x 200 odd
-    tensor modes, or the first 2000 zeros of J_0, with mu_0 the volume."""
+    tensor modes, or the first 2000 zeros of J_0, with mu_0 the volume, and
+    order n's terms t_n = t_{n-1} * (2/lambda) from t_0 = a^2."""
     if hasattr(spec, "R"):
         from scipy.special import jn_zeros
         j0 = jn_zeros(0, 2000)
@@ -115,8 +116,10 @@ def series_moments_fsum(spec, n_max):
         a2 = 64.0 * spec.Lx * spec.Ly / (i[:, None] ** 2 * i[None, :] ** 2
                                          * np.pi ** 4)
         mu = [spec.Lx * spec.Ly]
+    r, t = 2.0 / lam, a2
     for n in range(1, n_max + 1):
-        mu.append(math.fsum((a2 * (2.0 / lam) ** n).ravel()))
+        t = t * r
+        mu.append(math.fsum(t.ravel()))
     A = [m * math.factorial(n) for n, m in enumerate(mu)]
     return A, [a / math.factorial(n) for n, a in enumerate(A)]
 

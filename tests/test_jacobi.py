@@ -2,7 +2,9 @@
 matrix of the Lebesgue measure on [0, 1] (mu_n = 1/(n+1)), whose
 recurrence and Gauss rule are known in closed form: the Chebyshev-algorithm
 recurrence in exact rationals, on exact and on float moments, and the
-Golub-Welsch Jacobi-matrix eigensolve that turns it into nodes and weights.
+Golub-Welsch Jacobi-matrix eigensolve that turns it into nodes and weights,
+which calls LAPACK's dstevd directly and is checked bit for bit against
+scipy's eigh_tridiagonal on random Jacobi matrices.
 """
 
 from fractions import Fraction
@@ -94,3 +96,39 @@ def test_jacobi_eigh_hilbert_residual():
     # trace of the Jacobi matrix against the exact rational trace
     assert abs(sum(Fraction(x) for x in nodes) - sum(alpha)) \
         < Fraction(1, 10 ** 14)
+
+
+def eigh_tridiagonal_rule(alpha, beta):
+    """The Gauss rule through scipy's checked wrapper, which picks the same
+    LAPACK driver (stevd) for all eigenpairs."""
+    import scipy.linalg as sla
+    nodes, V = sla.eigh_tridiagonal(np.array([float(a) for a in alpha]),
+                                    np.sqrt([float(b) for b in beta[1:]]))
+    weights = float(beta[0]) * V[0] ** 2
+    return list(nodes[::-1]), list(weights[::-1])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_golub_welsch_bits_match_eigh_tridiagonal(seed):
+    """dstevd called directly gives the wrapper's nodes and weights bit for
+    bit, on random Jacobi matrices of every order up to 64."""
+    rng = np.random.default_rng(seed)
+    for n in range(1, 65):
+        alpha = list(rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3, 3))
+        beta = list(rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-6, 6))
+        got, want = _golub_welsch(alpha, beta), eigh_tridiagonal_rule(alpha, beta)
+        assert [[v.hex() for v in part] for part in got] == \
+            [[float(v).hex() for v in part] for part in want], n
+
+
+def test_golub_welsch_raises_on_lapack_failure(monkeypatch):
+    # a NaN on the diagonal stops dstevd's iteration (info > 0)
+    with pytest.raises(np.linalg.LinAlgError, match="info=2"):
+        _golub_welsch([np.nan, 1.0, 2.0], [1.0, 1.0, 1.0])
+    import scipy.linalg.lapack as lapack
+
+    def failing(d, e, compute_v):
+        return d, np.eye(d.size), -2
+    monkeypatch.setattr(lapack, "dstevd", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="info=-2"):
+        _golub_welsch([1.0, 2.0], [1.0, 1.0])

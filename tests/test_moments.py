@@ -1,7 +1,12 @@
+import hashlib
+import json
 import math
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,6 +159,60 @@ def test_series_moments_match_fsum_oracle(k):
                     == [a.hex() for a in want_A[:n_max + 1]]), (spec, n_max)
             assert ([m.hex() for m in ms.mu]
                     == [m.hex() for m in want_mu[:n_max + 1]]), (spec, n_max)
+
+
+def _umath():
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:                           # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return umath
+
+
+def avx512_dispatch_groups():
+    """The AVX-512 groups numpy dispatches to on this CPU, as
+    NPY_DISABLE_CPU_FEATURES names them; empty without AVX-512."""
+    umath = _umath()
+    return [g for g in umath.__cpu_dispatch__
+            if (g == "X86_V4" or g.startswith("AVX512"))
+            and umath.__cpu_features__.get(g)]
+
+
+def series_digest():
+    """sha256 of the bits of rectangle and disk series moments."""
+    h = hashlib.sha256()
+    for spec in (es.Rectangle(1.0, 2.5), es.Rectangle(0.37, 0.8),
+                 es.Rectangle(1e3, 4e3), es.Disk(1.0), es.Disk(2e-3)):
+        h.update(" ".join(a.hex() for a in es.analytic_moments(spec, 25).A)
+                 .encode())
+    return h.hexdigest()
+
+
+# a fresh interpreter, the only place NPY_DISABLE_CPU_FEATURES acts
+DISPATCH_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from test_moments import _umath, avx512_dispatch_groups, series_digest
+print(json.dumps([series_digest(), avx512_dispatch_groups(),
+                  sorted(_umath().__cpu_dispatch__)]))
+"""
+
+
+def test_series_moments_do_not_depend_on_simd_dispatch():
+    """Rectangle and disk series hash the same with numpy's AVX-512 loops
+    switched off: every term is a product of correctly rounded
+    multiplications, which no SIMD kernel set changes."""
+    groups = avx512_dispatch_groups()
+    if not groups:
+        pytest.skip("numpy dispatches no AVX-512 group on this CPU")
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"),
+               NPY_DISABLE_CPU_FEATURES=" ".join(groups))
+    out = subprocess.run([sys.executable, "-c", DISPATCH_PROBE, str(tests)],
+                         env=env, capture_output=True, text=True, check=True)
+    digest, still_on, dispatch = json.loads(out.stdout)
+    assert still_on == [] and set(groups) <= set(dispatch), out.stdout
+    assert digest == series_digest()
 
 
 class TestPde:

@@ -50,6 +50,26 @@ class TestHankel:
         assert rep["pass"]
         assert rep["H0_min_eig"] == rep["H0_trace"] == 1e308
 
+    @pytest.mark.parametrize("A, h1_psd", [
+        ([1.5e308, 1.2e308, 1.6e308, 6e307, 1.44e308, 1e308], False),
+        # mu_n = c x^n for n >= 1 and mu_0 < c: H1 is PSD of rank one and
+        # only H0, whose trace overflows, can fail
+        ([1.59e308] + [1.6e308 * 0.39 ** n * math.factorial(n)
+                       for n in range(1, 6)], True)],
+        ids=["both-indefinite", "H0-indefinite"])
+    def test_trace_overflow_does_not_pass_h0(self, A, h1_psd):
+        """The diagonal of H0 adds up past the float maximum on finite
+        moments; the verdict is taken in units of its largest entry, so an
+        indefinite H0 still fails, without an overflow warning."""
+        ms = es.MomentSequence(A, "pde")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = es.hankel_psd_check(ms, 3)
+        assert rep["H0_trace"] == math.inf
+        assert rep["H0_min_eig"] < -1e-6 * max(ms.mu[0:5:2])
+        assert not rep["pass"]
+        assert (rep["H1_min_eig"] >= -1e-9 * rep["H1_trace"]) == h1_psd
+
     @pytest.mark.parametrize("atoms", [
         [(0.4, 5e6), (0.2, 3e6), (0.1, 1e6)],
         [(0.4, 8e6), (0.2, -1e6), (0.1, 2e6)]],
@@ -107,6 +127,40 @@ class TestCap:
                     oracles.atom_count_cap_per_section(ms.mu, p_max, floor)
                 assert es.atom_count_cap(ms, p_max, floor=1e-26) == \
                     oracles.atom_count_cap_per_section(ms.mu, p_max, 1e-26)
+
+    # mu_n with positive even orders, so that every balanced section exists;
+    # signed odd orders make sections indefinite, and then sigma_min need not
+    # fall with p. A few small values recur, so that some sections are
+    # singular. Positive atomic measures give the definite case.
+    _signed = st.lists(
+        st.tuples(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(1e-3, 1e3),
+                  st.sampled_from([-2.0, -1.0, 1.0, 2.0])
+                  | st.floats(-1e3, 1e3)),
+        min_size=1, max_size=9).map(
+        lambda pairs: [m * math.factorial(n) for n, m in
+                       enumerate(a for pair in pairs for a in pair)])
+    _atomic = st.lists(st.tuples(st.floats(1e-3, 1.0), st.floats(1e-3, 1.0)),
+                       min_size=1, max_size=6).map(
+        lambda atoms: atomic_sequence(atoms, 15).A)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_signed | _atomic, st.integers(0, 9),
+           st.sampled_from([2.3e-16, 1e-11, 1e-3, 1e-26])
+           | st.floats(1e-9, 1e-4))
+    def test_top_down_scan_matches_per_section_oracle(self, A, p_max, floor):
+        ms = es.MomentSequence(A, "pde")
+        assert es.atom_count_cap(ms, p_max, floor=floor) == \
+            oracles.atom_count_cap_per_section(ms.mu, p_max, floor)
+
+    def test_cap_is_the_largest_passing_section(self):
+        """mu = 1, 1, 1, -1, 1, 1: the 2 x 2 section is singular, the 3 x 3
+        one is not, so the cap is 3 where stopping at the first failure
+        would give 1."""
+        ms = es.MomentSequence([1, 1, 2, -6, 24, 120], "pde")
+        passes = [oracles.atom_count_cap_per_section(ms.mu, p, 1e-11) == p
+                  for p in (1, 2, 3)]
+        assert passes == [True, False, True]
+        assert es.atom_count_cap(ms, 3, floor=1e-11) == 3
 
     def test_no_atoms_from_mu_0_alone(self):
         ms = es.MomentSequence([2.0], "analytic")
