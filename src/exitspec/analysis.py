@@ -96,12 +96,17 @@ def zeta(sd: SpectralData, s: float) -> float:
     return math.fsum(a2 * (2.0 / lam) ** s for lam, _, a2 in sd.entries)
 
 
+def _unassigned_volume(sd: SpectralData) -> float:
+    """Volume the stored clusters leave unassigned, 0 when sd carries no
+    volume: the weight of every dropped mode together."""
+    total = sd.total_weight()
+    vol = sd.volume if sd.volume is not None else total
+    return max(vol - total, 0.0)
+
+
 def zeta_tail_bound(sd: SpectralData, s: float) -> float:
     """Bound on the dropped tail: (unassigned volume) * (2/lambda_max)^s."""
-    vol = sd.volume if sd.volume is not None else sd.total_weight()
-    deficit = max(vol - sd.total_weight(), 0.0)
-    lam_max = sd.entries[-1][0]
-    return deficit * (2.0 / lam_max) ** s
+    return _unassigned_volume(sd) * (2.0 / sd.entries[-1][0]) ** s
 
 
 def heat_content_spectral(sd: SpectralData, times) -> HeatContentCurve:
@@ -114,9 +119,8 @@ def heat_content_spectral(sd: SpectralData, times) -> HeatContentCurve:
     lam = np.array([e[0] for e in sd.entries])
     a2 = np.array([e[2] for e in sd.entries])
     q = np.array([math.fsum(a2 * np.exp(-lam * t / 2.0)) for t in times])
-    vol = sd.volume if sd.volume is not None else sd.total_weight()
-    deficit = max(vol - sd.total_weight(), 0.0)
-    return HeatContentCurve(times, q, "spectral_sum", tail_bound=deficit)
+    return HeatContentCurve(times, q, "spectral_sum",
+                            tail_bound=_unassigned_volume(sd))
 
 
 def heat_content_timestep(grid: Grid, times, dt: float) -> HeatContentCurve:
@@ -341,10 +345,12 @@ def verify_identities(ms: MomentSequence, sd: SpectralData, n_max: int):
     if n_max > ms.n_max:
         raise ValueError(f"moment sequence stops at n={ms.n_max}, asked {n_max}")
     rows = []
+    # zeta_tail_bound for every N, from one unassigned volume
+    deficit = _unassigned_volume(sd)
     for N in range(1, n_max + 1):
         lhs = math.gamma(N) * zeta(sd, N)
         rhs = ms.A[N] / N
         rel = abs(lhs - rhs) / abs(rhs)
         rows.append({"N": N, "gamma_zeta": lhs, "A_over_N": rhs, "rel_err": rel,
-                     "zeta_tail": zeta_tail_bound(sd, N)})
+                     "zeta_tail": deficit * (2.0 / sd.entries[-1][0]) ** N})
     return {"rows": rows, "max_rel_err": max(r["rel_err"] for r in rows)}

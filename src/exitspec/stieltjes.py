@@ -10,7 +10,9 @@ Chebyshev algorithm turns the moments into the recurrence coefficients of
 the Jacobi matrix in exact rationals, and Golub-Welsch (one float64
 tridiagonal eigensolve) gives nodes and weights. The precision only picks
 the input moments and the cap's noise floor: "extended" takes the exact
-moments where the sequence carries them, under a far lower floor.
+moments where the sequence carries them, under a far lower floor. Each
+sequence keeps its sections' singular values and one recurrence run per
+moment list in a table of its own, which serves every p.
 """
 
 from __future__ import annotations
@@ -114,6 +116,41 @@ def hankel_psd_check(ms: MomentSequence, p: int, eps_psd: float = 1e-9):
     return report
 
 
+def _table(ms: MomentSequence) -> dict:
+    """The inversion table of ms, made on first use and dropped with it.
+    Each part holds the contents of the moment list it was built from, so
+    a mutated list rebuilds that part."""
+    return vars(ms).setdefault("_stieltjes", {})
+
+
+def _noise_floor(ms: MomentSequence) -> float:
+    """The provenance noise floor of ms, raised to its largest relative
+    stderr when it carries one."""
+    floor = NOISE_FLOOR.get(ms.provenance, 1e-11)
+    if ms.stderr is not None:
+        rel = max(s / abs(a) for s, a in zip(ms.stderr, ms.A) if a != 0)
+        floor = max(floor, rel)
+    return floor
+
+
+def _sigma_mins(ms: MomentSequence, top: int) -> list:
+    """sigma_min of the balanced sections p = 1..top of ms.mu (the list
+    may go further), from the table. D is the diagonal, so every balanced
+    section is a leading block of the largest one, whatever its size."""
+    table = _table(ms)
+    key = tuple(ms.mu)
+    hit = table.get("sigma")
+    sigma = hit[1] if hit is not None and hit[0] == key else []
+    if len(sigma) < top:
+        H = _hankel(ms.mu, top, 0)
+        d = np.sqrt(np.diag(H))
+        B = H / np.outer(d, d)
+        sigma = sigma + [float(np.linalg.svd(B[:p, :p], compute_uv=False)[-1])
+                         for p in range(len(sigma) + 1, top + 1)]
+        table["sigma"] = (key, sigma)
+    return sigma
+
+
 def atom_count_cap(ms: MomentSequence, p_max: int, floor: float = None) -> int:
     """Largest p <= p_max whose balanced Hankel section is numerically full
     rank: p-th singular value of D^{-1/2} H0 D^{-1/2} (D = diag of H0) above
@@ -124,38 +161,35 @@ def atom_count_cap(ms: MomentSequence, p_max: int, floor: float = None) -> int:
     floor overrides the provenance noise model; pass the arithmetic epsilon
     of the downstream factorization when the moments themselves are exact.
 
-    The scan runs from the largest section down and stops at the first that
-    passes, which is the largest passing p whatever the pass pattern. On a
-    positive definite section sigma_min is non-increasing in p (Cauchy
-    interlacing of leading blocks), so a cap of c costs top - c + 1 SVDs.
+    sigma_min does not depend on the floor, so each section's is computed
+    once per contents of ms.mu and kept on the sequence: later calls take
+    no SVD below the largest top asked for. The answer is the largest
+    passing p whatever the pass pattern.
     """
     if floor is None:
-        floor = NOISE_FLOOR.get(ms.provenance, 1e-11)
-        if ms.stderr is not None:
-            rel = max(s / abs(a) for s, a in zip(ms.stderr, ms.A) if a != 0)
-            floor = max(floor, rel)
-    # D is the diagonal, so every balanced section is a leading block of
-    # the largest one
+        floor = _noise_floor(ms)
     top = min(p_max, (ms.n_max + 1) // 2)
-    if top < 1:
-        return 0
-    H = _hankel(ms.mu, top, 0)
-    d = np.sqrt(np.diag(H))
-    B = H / np.outer(d, d)
+    sigma = _sigma_mins(ms, top)
     for p in range(top, 0, -1):
-        sv = np.linalg.svd(B[:p, :p], compute_uv=False)
-        if sv[-1] >= CAP_SAFETY * floor:
+        if sigma[p - 1] >= CAP_SAFETY * floor:
             return p
     return 0
 
 
-def _recurrence(mu, p):
+def _chebyshev(mu, p):
     """Three-term recurrence coefficients alpha_0..alpha_{p-1} and
     beta_0..beta_{p-1} of the monic orthogonal polynomials of the measure
     with moments mu_0..mu_{2p-1}, pi_{k+1} = (x - alpha_k) pi_k
     - beta_k pi_{k-1} with beta_0 = mu_0, by Gautschi's Chebyshev
     algorithm in exact rationals (float moments are taken as the dyadic
-    rationals they are).
+    rationals they are). At the first nonpositive pivot k it stops and
+    returns the k coefficients before it.
+
+    The coefficients are prefix-stable: alpha_k and beta_k depend only on
+    mu_0..mu_{2k+1}, and they are exact, so they are the same Fractions
+    whatever p (the per-row gcd and the q-rescaling below only rescale
+    rows). So invert_moments keeps one run per moment list in the
+    sequence's table and reads every smaller p from it.
 
     sigma[l] = <pi_k, x^l> for l = k..2p-k-1. Its pivot sigma[k] =
     <pi_k, pi_k> is the ratio of consecutive Hankel determinants, so a
@@ -193,8 +227,7 @@ def _recurrence(mu, p):
     for k in range(p):
         sk, rk1 = s[k], r[k - 1]
         if sk <= 0:
-            raise InversionError(f"H0 numerically rank deficient at p={p} "
-                                 f"(pivot k={k}); reduce p")
+            break
         c = s[k + 1] * rk1 - r[k] * sk
         alpha.append(Fraction(c * qd, sk * rk1 * qn))
         beta.append(Fraction(sk * e * qd * qd, d * rk1 * qn * qn) if k
@@ -209,6 +242,40 @@ def _recurrence(mu, p):
         r, e = s, d
         s, d = [0] * (k + 1) + [x // g for x in row], dn // g
     return alpha, beta
+
+
+def _leading(p, alpha, beta):
+    """The first p coefficients of a _chebyshev run, or the InversionError
+    of the nonpositive pivot it stopped at when that lies below p."""
+    k = len(alpha)
+    if k < p:
+        raise InversionError(f"H0 numerically rank deficient at p={p} "
+                             f"(pivot k={k}); reduce p")
+    return alpha[:p], beta[:p]
+
+
+def _recurrence(mu, p):
+    """The p recurrence coefficients of mu_0..mu_{2p-1} (see _chebyshev),
+    or InversionError at the first nonpositive pivot k < p."""
+    return _leading(p, *_chebyshev(mu, p))
+
+
+def _jacobi(ms: MomentSequence, source: str, p: int, floor: float):
+    """The first p recurrence coefficients of ms.mu or ms.mu_exact (source),
+    from the table: one _chebyshev run per contents of the list, up to its
+    cap over every section under floor. Without mu_exact both precisions
+    read ms.mu and share that run."""
+    mu = getattr(ms, source)
+    key = tuple(mu)
+    table = _table(ms)
+    hit = table.get(source)
+    # a run shorter than asked ended at a nonpositive pivot and answers
+    # every p; a full run answers every p up to its length
+    if hit is None or hit[0] != key or (len(hit[1]) < p and not hit[3]):
+        run = atom_count_cap(ms, (ms.n_max + 1) // 2, floor)
+        alpha, beta = _chebyshev(mu, run)
+        hit = table[source] = (key, alpha, beta, len(alpha) < run)
+    return _leading(p, hit[1], hit[2])
 
 
 def _golub_welsch(alpha, beta):
@@ -247,7 +314,10 @@ def invert_moments(ms: MomentSequence, p: int,
     without them both precisions give the same atoms.
 
     The requested p is capped by atom_count_cap; the effective value is in
-    diagnostics["p_effective"].
+    diagnostics["p_effective"], and the decision in diagnostics["cap"]: the
+    floor, the threshold CAP_SAFETY * floor, and sigma_min of the balanced
+    sections p = 1..p. The sigma_min and the recurrence coefficients come
+    from the table on ms: one recurrence run per moment list serves every p.
     """
     if precision not in ("standard", "extended"):
         raise ValueError(f"unknown precision {precision!r}")
@@ -257,20 +327,17 @@ def invert_moments(ms: MomentSequence, p: int,
         raise ValueError(f"p={p} needs n_max >= {2*p-1}, have {ms.n_max}")
     ms.validate()
     exact = precision == "extended" and ms.mu_exact is not None
-    if exact:
-        # exact rational moments: the recurrence is exact and only the
-        # float64 tridiagonal eigensolve rounds, so cap against a floor far
-        # below the provenance one (the balanced sigma_min is still
-        # measured in doubles, which quietly limits p to sections it can
-        # certify)
-        cap = atom_count_cap(ms, p, floor=1e-26)
-    else:
-        cap = atom_count_cap(ms, p)
+    # exact rational moments: the recurrence is exact and only the float64
+    # tridiagonal eigensolve rounds, so cap against a floor far below the
+    # provenance one (the balanced sigma_min is still measured in doubles,
+    # which quietly limits p to sections it can certify)
+    floor = 1e-26 if exact else _noise_floor(ms)
+    cap = atom_count_cap(ms, p, floor)
     if cap < 1:
         raise InversionError("moment noise floor leaves no recoverable atoms")
     p_eff = min(p, cap)
-    mu = ms.mu_exact if exact else ms.mu
-    nodes, weights = _golub_welsch(*_recurrence(mu, p_eff))
+    source = "mu_exact" if exact else "mu"
+    nodes, weights = _golub_welsch(*_jacobi(ms, source, p_eff, floor))
 
     atoms = []
     dropped = []
@@ -291,6 +358,8 @@ def invert_moments(ms: MomentSequence, p: int,
         "dropped_atoms": dropped,
         "moment_residuals": residuals,
         "max_moment_residual": max(residuals),
+        "cap": {"floor": floor, "threshold": CAP_SAFETY * floor,
+                "sigma_min": _sigma_mins(ms, p)[:p]},
     }
     return AtomicMeasure(atoms, diagnostics)
 

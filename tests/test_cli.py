@@ -156,6 +156,8 @@ class TestPipelines:
         assert am.atoms[0][0] == pytest.approx(2 / math.pi ** 2, rel=1e-9)
         inv = json.loads((tmp_path / "out" / "inversion.json").read_text())
         assert inv["diagnostics"]["p_effective"] == 5
+        assert inv["diagnostics"]["cap"]["floor"] == 1e-26
+        assert len(inv["diagnostics"]["cap"]["sigma_min"]) == 5
         assert inv["psd"]["pass"]
 
     def test_heat_pipeline(self, tmp_path):

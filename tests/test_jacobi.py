@@ -4,15 +4,19 @@ recurrence and Gauss rule are known in closed form: the Chebyshev-algorithm
 recurrence in exact rationals, on exact and on float moments, and the
 Golub-Welsch Jacobi-matrix eigensolve that turns it into nodes and weights,
 which calls LAPACK's dstevd directly and is checked bit for bit against
-scipy's eigh_tridiagonal on random Jacobi matrices.
+scipy's eigh_tridiagonal on random Jacobi matrices. The recurrence is also
+checked to be prefix-stable, which lets one run serve every smaller p.
 """
 
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from exitspec.stieltjes import _golub_welsch, _recurrence
+import exitspec as es
+from exitspec.stieltjes import InversionError, _golub_welsch, _recurrence
 
 
 def hilbert_moments(n):
@@ -68,6 +72,47 @@ def test_float_recurrence_gauss_legendre():
     want_x, want_w = gauss_legendre_01(p)
     assert nodes == pytest.approx(want_x, rel=1e-11)
     assert weights == pytest.approx(want_w, rel=1e-11)
+
+
+def signed_moments(n):
+    """Float moments of a signed measure; its Hankel sections turn
+    indefinite at p = 4."""
+    atoms = [(0.5, 2.0), (1.5, 1.0), (2.5, 0.25), (4.0, -0.01)]
+    return [math.fsum(w * x ** k for x, w in atoms) for k in range(n)]
+
+
+PREFIX_CASES = {
+    "dyadic-floats": [float(m) for m in hilbert_moments(16)],
+    "interval-exact": es.analytic_moments(es.Interval(0, 1), 17).mu_exact,
+    # mu_0 and mu_1 are dyadic and mu_2 = 1/3 is not: p = 1 runs unscaled
+    # and every larger p through the q-rescaling
+    "non-dyadic": hilbert_moments(16),
+    "indefinite": signed_moments(12),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PREFIX_CASES))
+def test_recurrence_is_prefix_stable(case):
+    """alpha_k and beta_k depend only on mu_0..mu_{2k+1}, so the run at the
+    largest P holds every p < P as the same Fractions; an indefinite
+    sequence fails at the same pivot k at every p above it."""
+    mu = PREFIX_CASES[case]
+    P = len(mu) // 2
+    try:
+        alpha, beta = _recurrence(mu, P)
+        k = P
+    except InversionError as exc:
+        k = int(re.search(r"pivot k=(\d+)", str(exc)).group(1))
+        alpha, beta = _recurrence(mu, k)
+    assert (k < P) == (case == "indefinite")
+    assert all(type(c) is Fraction for c in alpha + beta)
+    for p in range(1, P + 1):
+        if p <= k:
+            assert _recurrence(mu, p) == (alpha[:p], beta[:p])
+        else:
+            with pytest.raises(InversionError,
+                               match=rf"at p={p} \(pivot k={k}\)"):
+                _recurrence(mu, p)
 
 
 def test_jacobi_eigh_known_matrix():

@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import exitspec as es
+import exitspec.stieltjes as stieltjes
 from exitspec.stieltjes import _recurrence
 
 import oracles
@@ -392,6 +394,131 @@ class TestInvert:
         am = es.invert_moments(interval_pde_512[0], 5)
         assert am.diagnostics["p_effective"] == 4
         assert am.p == 4
+
+
+def fresh(ms):
+    """A new sequence, with no table, holding the contents of ms."""
+    new = es.MomentSequence(ms.A, ms.provenance, ms.lambda1,
+                            mu_exact=None if ms.mu_exact is None
+                            else list(ms.mu_exact), stderr=ms.stderr)
+    new.mu = list(ms.mu)
+    return new
+
+
+def inversion(ms, p, precision):
+    """(atoms, diagnostics) of one inversion, or the InversionError text."""
+    try:
+        am = es.invert_moments(ms, p, precision)
+    except es.InversionError as exc:
+        return str(exc)
+    return am.atoms, am.diagnostics
+
+
+def table_specs():
+    return [es.Interval(0, 3.3), es.Rectangle(0.01, 0.025), es.Disk(7.0)]
+
+
+class TestTable:
+    """invert_moments and atom_count_cap read one table per sequence, built
+    on first use and keyed on the contents of its moment lists."""
+
+    CASES = [(p, precision) for p in range(1, 9)
+             for precision in ("standard", "extended")]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_shuffled_inversions_match_fresh_sequences(self, seed):
+        order = list(self.CASES)
+        random.Random(seed).shuffle(order)
+        for spec in table_specs():
+            ms = es.analytic_moments(spec, 17)
+            for p, precision in order:
+                assert inversion(ms, p, precision) == \
+                    inversion(fresh(ms), p, precision)
+
+    def test_one_recurrence_run_per_moment_source(self, monkeypatch):
+        """A sequence inverted at p = 1..8 in both precisions runs the
+        Chebyshev algorithm once per moment list (twice with mu_exact, once
+        without) and takes one SVD per balanced section."""
+        runs, svds = [], []
+        chebyshev, svd = stieltjes._chebyshev, stieltjes.np.linalg.svd
+        monkeypatch.setattr(stieltjes, "_chebyshev",
+                            lambda mu, p: runs.append(p) or chebyshev(mu, p))
+        monkeypatch.setattr(stieltjes.np.linalg, "svd",
+                            lambda *a, **k: svds.append(1) or svd(*a, **k))
+        for spec in table_specs():
+            ms = es.analytic_moments(spec, 17)
+            del runs[:], svds[:]
+            for p, precision in self.CASES:
+                es.invert_moments(ms, p, precision)
+            assert len(runs) == (1 if ms.mu_exact is None else 2)
+            assert len(svds) == (ms.n_max + 1) // 2
+
+    def test_mutated_moments_match_fresh_sequences(self):
+        """A, mu and mu_exact are plain lists; a table part built from other
+        contents is rebuilt."""
+        ms = es.analytic_moments(es.Interval(0, 1), 17)
+        other = es.analytic_moments(es.Rectangle(1, 2.5), 17)
+        before = [inversion(ms, p, prec) for p, prec in self.CASES]
+        ms.mu[:] = other.mu
+        after = [inversion(ms, p, prec) for p, prec in self.CASES]
+        assert after != before
+        assert after == [inversion(fresh(ms), p, prec)
+                         for p, prec in self.CASES]
+        ms.mu_exact[5] *= 1 + Fraction(1, 10 ** 6)
+        for p, prec in self.CASES:
+            assert inversion(ms, p, prec) == inversion(fresh(ms), p, prec)
+        for p_max in (8, 3):
+            for floor in (None, 1e-26):
+                ms.mu[2 * p_max - 2] *= 2
+                assert es.atom_count_cap(ms, p_max, floor) == \
+                    es.atom_count_cap(fresh(ms), p_max, floor)
+
+    def test_cached_inversion_error_matches_uncached(self):
+        """Exact moments 2^n - 1/2 have a negative pivot at k = 1 under a
+        cap of 3 from the float moments: every p above 1 raises the
+        uncached message, and p = 1 still inverts."""
+        ms = es.analytic_moments(es.Interval(0, 1), 9)
+        ms.mu_exact = [Fraction(2) ** n - Fraction(1, 2) for n in range(10)]
+        assert es.atom_count_cap(ms, 3, 1e-26) == 3
+        for p in (3, 2, 1, 3, 2):
+            got = inversion(ms, p, "extended")
+            assert got == inversion(fresh(ms), p, "extended")
+            if p > 1:
+                assert got == (f"H0 numerically rank deficient at p={p} "
+                               f"(pivot k=1); reduce p")
+
+    def test_repeated_caps_match_per_section_oracle(self, interval_pde_512):
+        """Mixed p_max and floors on one sequence: the table extends from a
+        small top and answers every later call."""
+        calls = [(p_max, floor) for p_max in range(0, 13)
+                 for floor in (None, 2.3e-16, 1e-26, 1e-9, 1e-3)]
+        random.Random(3).shuffle(calls)
+        for ms in (es.analytic_moments(es.Rectangle(1, 2.5), 25),
+                   interval_pde_512[0]):
+            ms = fresh(ms)
+            base = stieltjes._noise_floor(ms)
+            for p_max, floor in calls:
+                want = oracles.atom_count_cap_per_section(
+                    ms.mu, p_max, base if floor is None else floor)
+                assert es.atom_count_cap(ms, p_max, floor) == want
+
+    def test_cap_diagnostics(self):
+        """diagnostics["cap"] holds the decision: the floor, the threshold
+        and sigma_min of sections 1..p, whose largest passing p is the
+        effective one."""
+        ms = es.analytic_moments(es.Rectangle(1, 2.5), 17)
+        for p, precision in self.CASES:
+            diagnostics = es.invert_moments(ms, p, precision).diagnostics
+            cap = diagnostics["cap"]
+            assert cap["floor"] == 2.3e-16
+            assert cap["threshold"] == stieltjes.CAP_SAFETY * 2.3e-16
+            assert len(cap["sigma_min"]) == p
+            assert diagnostics["p_effective"] == max(
+                q for q, s in enumerate(cap["sigma_min"], 1)
+                if s >= cap["threshold"])
+        ms = es.analytic_moments(es.Interval(0, 1), 17)
+        cap = es.invert_moments(ms, 8, "extended").diagnostics["cap"]
+        assert cap["floor"] == 1e-26
 
 
 class TestMeasure:
