@@ -164,6 +164,9 @@ def numeric_spectrum(grid: Grid, m: int, tol: float = 1e-8) -> SpectralData:
     a2 = sum of (integral of phi_i)^2 over orthonormal members, the
     basis-independent projection of 1 onto the cluster eigenspace. Reported
     multiplicity is grid multiplicity, not certified continuum multiplicity.
+    Every eigenpair meets lowest_eigenpairs' relative residual contract,
+    ||(S - lambda/2) z|| <= tol * lambda/2, so the same tol holds for a
+    domain at any scale.
     """
     op = assemble_half_laplacian(grid)
     mm = m + 4

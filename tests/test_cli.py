@@ -2,6 +2,7 @@ import filecmp
 import json
 import math
 
+import numpy as np
 import pytest
 import scipy.sparse.linalg as splinalg
 from hypothesis import given, settings, strategies as st
@@ -284,6 +285,42 @@ class TestPipelines:
         assert summary["compare"]["matched_ok"]
         g = es.build_grid(es.Rectangle(1, 1), 1 / 8)
         assert es.assemble_half_laplacian(g) is es.assemble_half_laplacian(g)
+
+    @pytest.mark.parametrize("spec", [
+        es.Rectangle(1, 1),
+        es.perturb_polygon(es.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)]),
+                           [-1.0, 0.6, 1.0, -0.2], 0.07),
+    ], ids=["square", "c8-polygon"])
+    def test_all_factors_once_per_shift(self, tmp_path, monkeypatch, spec):
+        """`all` takes exactly two sparse LUs, of S at shift 0 and at
+        2/dt, each with the MMD ordering of A^T + A and small supernodes."""
+        calls = []
+        splu = splinalg.splu
+
+        def spy(A, *args, **kwargs):
+            calls.append((A.diagonal(), args, kwargs))
+            return splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(splinalg, "splu", spy)
+        h, dt = 1 / 32, 2.5e-3
+        if isinstance(spec, es.Rectangle):
+            domain = {"domain.type": "rectangle", "domain.lx": "1",
+                      "domain.ly": "1"}
+        else:
+            domain = {"domain.type": "polygon", "domain.vertices": "; ".join(
+                f"{x!r},{y!r}" for x, y in spec.vertices)}
+        keys = dict(domain, **{"grid.h": repr(h), "spectrum.m": "6",
+                               "heat.t_min": "0.01", "heat.t_max": "1",
+                               "heat.dt": repr(dt)})
+        assert run(["--pipeline", "all"], tmp_path,
+                   config_text=config_text(keys)) == 0
+        diag = es.assemble_half_laplacian(es.build_grid(spec, h)).sym.diagonal()
+        shifts = sorted(float(np.max(d - diag)) for d, _, _ in calls)
+        assert shifts == pytest.approx([0.0, 2.0 / dt], rel=1e-12, abs=0.0)
+        for _, args, kwargs in calls:
+            assert args == ()
+            assert kwargs == {"permc_spec": "MMD_AT_PLUS_A", "relax": 1,
+                              "panel_size": 1}
 
     @pytest.mark.parametrize("pipeline, changes, rc, message", [
         ("invert", {"moments.n_max": "8", "invert.p": "5"}, 2,

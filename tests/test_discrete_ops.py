@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+import scipy.sparse.linalg as splinalg
 from hypothesis import given, settings, strategies as st
 
 import exitspec as es
@@ -78,6 +79,33 @@ def test_grid_and_operator_free_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+C8_SQUARE = es.perturb_polygon(es.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)]),
+                               [-1.0, 0.6, 1.0, -0.2], 0.07)
+
+
+@pytest.mark.parametrize("grid", [
+    lambda: es.build_grid(es.Rectangle(1, 1), 1 / 64),
+    lambda: es.build_grid(C8_SQUARE, 1 / 64),
+    lambda: es.build_radial_grid(es.Disk(1), 1 / 256),
+    lambda: es.build_grid(es.Interval(0, 1), 1 / 512),
+], ids=["square", "c8-polygon", "radial-disk", "interval"])
+@pytest.mark.parametrize("shift", [0.0, 800.0])
+def test_factor_matches_scipy_default_supernodes(grid, shift):
+    """The cached factor's small supernodes change neither the ordering nor
+    the fill of SuperLU's default factor, and its solves agree to rounding."""
+    g = grid()
+    op = es.assemble_half_laplacian(g)
+    A = (op.sym + shift * sparse.eye(g.n, format="csr")).tocsc()
+    plain = splinalg.splu(A, permc_spec="MMD_AT_PLUS_A")
+    lu = op.factor(shift)
+    assert lu.L.nnz + lu.U.nnz == plain.L.nnz + plain.U.nnz
+    rng = np.random.default_rng(5)
+    for b in (op.sqrtw, rng.standard_normal(g.n)):
+        want = plain.solve(b)
+        got = lu.solve(b)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def _loop_assembly(grid):

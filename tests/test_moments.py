@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -251,6 +252,30 @@ class TestPde:
         ref = es.analytic_moments(es.Disk(1), 8)
         for k in range(1, 9):
             assert ms.A[k] == pytest.approx(ref.A[k], rel=1e-4)
+
+    @pytest.mark.parametrize("spec, h", [
+        (es.Interval(0, 1), 1 / 512),
+        (es.Rectangle(1, 1), 1 / 64),
+        (es.Rectangle(1, 2.5), 1 / 64),
+        (es.Disk(1), 1 / 256),
+        (es.Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]), 1 / 64),
+    ], ids=["interval", "square", "rectangle", "radial-disk", "l-polygon"])
+    def test_recursion_is_the_lanczos_gauss_rule(self, spec, h):
+        """mu_n = <s, S^-n s> with s = W^{1/2} 1, so 8 Lanczos steps on S^-1
+        from s give a Gauss rule that integrates x^n, n <= 15, exactly. The
+        recursion's moments must match it to rounding, not merely to the
+        discretization error the criteria check (Golub & Meurant 2010)."""
+        from exitspec.discrete_ops import lanczos
+        from exitspec.stieltjes import _golub_welsch
+        ms, _, grid = es.pde_moments(spec, h, 15)
+        op = es.assemble_half_laplacian(grid)
+        steps = list(itertools.islice(lanczos(op.factor(0.0).solve,
+                                              op.sqrtw), 8))
+        beta = [float(op.sqrtw @ op.sqrtw)] + [b * b for _, b in steps[:-1]]
+        x, w = map(np.array, _golub_welsch([a for a, _ in steps], beta))
+        for n in range(16):
+            gauss = math.fsum(w * x ** n)
+            assert abs(gauss - ms.mu[n]) <= 1e-13 * ms.mu[n], n
 
 
 def test_validate_rejects_bad_sequences(capfd):

@@ -94,6 +94,22 @@ class TestNumeric:
             assert lam == pytest.approx(j0[n] ** 2, rel=1e-4)
             assert a2 == pytest.approx(4 * math.pi / j0[n] ** 2, rel=1e-3)
 
+    @pytest.mark.parametrize("dilate", [
+        lambda c: es.Rectangle(c, c),
+        lambda c: es.perturb_polygon(
+            es.Polygon([(0, 0), (c, 0), (c, c), (0, c)]),
+            [-1.0, 0.6, 1.0, -0.2], 0.07 * c),
+    ], ids=["square", "c8-polygon"])
+    def test_residual_contract_is_scale_free(self, dilate):
+        """S scales as c^-2 under a dilation by c, and so do its attainable
+        eigenpair residuals: at the default tol every scale passes, and
+        c^2 lambda is the unit domain's to rounding."""
+        ref = es.numeric_spectrum(es.build_grid(dilate(1.0), 1 / 64), 6)
+        for c in (1e-3, 1e-2, 1e2, 1e3):
+            sd = es.numeric_spectrum(es.build_grid(dilate(c), c / 64), 6)
+            scaled = [c * c * lam for lam in sd.lambdas()]
+            assert scaled == pytest.approx(ref.lambdas(), rel=1e-10), c
+
 
 class TestStructures:
     def test_ordering_enforced(self):
