@@ -17,6 +17,16 @@ live paths in groups of at most PASS_NORMALS normals (paths x steps x dim),
 so its arrays stay a few MB. A path is NaN exactly when it has not left D
 within STEP_CAP steps.
 
+Workers: with workers > 1, chunks run on worker processes forked for the
+call, at most one per chunk. Worker threads would wait on one another
+(about 18 % of their time on 2 cores): np.cumsum, the walk's running sum,
+holds the GIL for its whole call. The workers fork rather than spawn,
+because a spawned worker re-imports numpy and this package, about 0.2 s,
+more than a small run takes. Where the platform has no fork, the chunks run
+in-process, with the same bits. In a caller that runs threads of its own,
+a fork can deadlock on a lock another thread held at that moment, and
+Python >= 3.12 warns on such a fork.
+
 Reproducibility contract: path i draws from a Philox stream keyed
 (base_seed mod 2^64, i), consumed in simulation order (start-point
 rejection draws first where applicable, then dim normals per step);
@@ -29,7 +39,6 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -246,18 +255,36 @@ def simulate_exit_times(cfg: SimConfig, workers: int = 1,
     """One exit time per path. Results do not depend on workers, block_steps,
     or chunk_paths; those only schedule the work. block_steps is the longest
     pass: passes start at FIRST_PASS steps and double up to it. The returned
-    samples' stats are summed over the chunks in path order."""
-    if block_steps < 1 or chunk_paths < 1:
-        raise ValueError("block_steps and chunk_paths must be positive")
+    samples' stats are summed over the chunks in path order.
+
+    Chunks of chunk_paths paths run in-process when workers is 1 or there
+    is one chunk, and otherwise on min(workers, chunks) processes forked for
+    this call, which see the module's state as it is at the call. Where the
+    platform cannot fork, they run in-process. Processes, not threads,
+    because np.cumsum in the walk holds the GIL; Python >= 3.12 warns when
+    a caller that runs threads of its own forks. An error in a chunk
+    cancels the chunks not yet started and is raised here.
+    """
+    if workers < 1 or block_steps < 1 or chunk_paths < 1:
+        raise ValueError("workers, block_steps and chunk_paths must be positive")
     spans = [(lo, min(lo + chunk_paths, cfg.paths))
              for lo in range(0, cfg.paths, chunk_paths)]
-    if workers <= 1:
-        results = [_run_chunk(cfg, lo, hi, block_steps) for lo, hi in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
+    procs = min(workers, len(spans))
+    if procs > 1:
+        import multiprocessing
+        if "fork" not in multiprocessing.get_all_start_methods():
+            procs = 1
+    if procs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        ex = ProcessPoolExecutor(procs, multiprocessing.get_context("fork"))
+        try:
             futs = [ex.submit(_run_chunk, cfg, lo, hi, block_steps)
                     for lo, hi in spans]
             results = [f.result() for f in futs]
+        finally:
+            ex.shutdown(cancel_futures=True)
+    else:
+        results = [_run_chunk(cfg, lo, hi, block_steps) for lo, hi in spans]
     stats = Counter()
     for _, chunk_stats in results:
         stats.update(chunk_stats)

@@ -23,6 +23,13 @@ def nudged_square():
     return es.perturb_polygon(sq, (-1.0, 0.6, 1.0, -0.2), 0.07)
 
 
+class UnknownDomain(es.DomainSpec):
+    """A domain _start_points cannot sample; module-level, so it pickles
+    into worker processes."""
+
+    dim = 2
+
+
 def taus_sha256(cfg):
     return hashlib.sha256(es.simulate_exit_times(cfg).taus.tobytes()).hexdigest()
 
@@ -40,8 +47,9 @@ class TestConfig:
             with pytest.raises(ValueError):
                 es.SimConfig(iv, [0.5], 10, 1e-3, seed=seed)
         cfg = es.SimConfig(iv, [0.5], 10, 1e-3, seed=1)
-        for kw in ({"block_steps": 0}, {"chunk_paths": 0}):
-            with pytest.raises(ValueError):
+        for kw in ({"block_steps": 0}, {"chunk_paths": 0}, {"workers": 0},
+                   {"workers": -2}):
+            with pytest.raises(ValueError, match="must be positive"):
                 es.simulate_exit_times(cfg, **kw)
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
@@ -77,6 +85,22 @@ class TestDeterminism:
                     again = es.simulate_exit_times(
                         cfg, workers=workers, block_steps=bs, chunk_paths=cp)
                     assert np.array_equal(base, again.taus), (workers, bs, cp)
+
+    def test_without_fork_chunks_run_in_process(self, monkeypatch,
+                                                mc_interval_small):
+        """Where the platform cannot fork, workers > 1 opens no pool and
+        gives the same bits."""
+        import multiprocessing
+
+        def no_pool(method):
+            raise AssertionError(f"asked for a {method} context")
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        cfg, base = mc_interval_small
+        again = es.simulate_exit_times(cfg, workers=2, chunk_paths=64)
+        assert np.array_equal(base.taus, again.taus)
 
     def test_pinned_bits(self):
         """The exit times of two configurations, pinned by hash: the walk
@@ -167,30 +191,33 @@ class TestSamples:
     def test_capped_paths_count_in_survival_and_laplace(self, monkeypatch):
         """A capped path has not exited after STEP_CAP * dt = 0.16: it is a
         survivor at t = 0.1 and exp(-s tau) is 0 for it once
-        exp(-s * 0.16) underflows. Where its value is unknown, it raises."""
+        exp(-s * 0.16) underflows. Where its value is unknown, it raises.
+        The patched cap reaches forked workers too."""
         monkeypatch.setattr(mcmod, "STEP_CAP", 16)
         cfg = es.SimConfig(es.Interval(0, 1), [0.5], 32, 1e-2, seed=3)
-        s = es.simulate_exit_times(cfg)
-        assert s.excluded == 23
-        est = es.mc_survival(cfg, 0.1, samples=s)
-        assert est.paths == 32
-        assert est.value == (np.count_nonzero(s.finite() > 0.1) + 23) / 32
-        assert est.value == pytest.approx(0.906, abs=1e-3)
-        with pytest.raises(es.McError, match="23 paths hit the step cap"):
-            es.mc_survival(cfg, 0.16, samples=s)
-        with pytest.raises(es.McError, match="23 paths hit the step cap"):
-            es.mc_laplace(cfg, 1.0, samples=s)
-        est = es.mc_laplace(cfg, 1e4, samples=s)
-        assert est.paths == 32
-        assert est.value == math.fsum(np.exp(-1e4 * s.finite())) / 32
+        for workers in (1, 2):
+            s = es.simulate_exit_times(cfg, workers=workers, chunk_paths=8)
+            assert s.excluded == 23
+            est = es.mc_survival(cfg, 0.1, samples=s)
+            assert est.paths == 32
+            assert est.value == (np.count_nonzero(s.finite() > 0.1) + 23) / 32
+            assert est.value == pytest.approx(0.906, abs=1e-3)
+            with pytest.raises(es.McError, match="23 paths hit the step cap"):
+                es.mc_survival(cfg, 0.16, samples=s)
+            with pytest.raises(es.McError, match="23 paths hit the step cap"):
+                es.mc_laplace(cfg, 1.0, samples=s)
+            est = es.mc_laplace(cfg, 1e4, samples=s)
+            assert est.paths == 32
+            assert est.value == math.fsum(np.exp(-1e4 * s.finite())) / 32
 
     def test_step_cap_independent_of_blocks(self, monkeypatch):
         """A path is NaN exactly when it has not exited within STEP_CAP
-        steps, however the passes are sized."""
+        steps, however the passes are sized, on forked workers as well."""
         monkeypatch.setattr(mcmod, "STEP_CAP", 16)
         cfg = es.SimConfig(es.Interval(0, 1), [0.5], 32, 1e-2, seed=3)
-        runs = [es.simulate_exit_times(cfg, block_steps=bs)
-                for bs in (8, 64, 4096)]
+        runs = [es.simulate_exit_times(cfg, workers=workers, block_steps=bs,
+                                       chunk_paths=cp)
+                for workers, cp in ((1, 1024), (2, 8)) for bs in (8, 64, 4096)]
         for s in runs:
             assert np.array_equal(s.taus, runs[0].taus, equal_nan=True)
             assert s.stats["step_cap_hits"] == s.excluded
@@ -206,8 +233,17 @@ class TestSamples:
         assert st["steps"] == int(np.rint(s.finite() / cfg.dt).sum())
         assert st["normals_drawn"] >= cfg.spec.dim * st["steps"]
         assert st["passes"] >= 3  # at least one per chunk
-        again = es.simulate_exit_times(cfg, workers=3, chunk_paths=128)
-        assert again.stats == st
+        for workers in (2, 3):
+            again = es.simulate_exit_times(cfg, workers=workers,
+                                           chunk_paths=128)
+            assert again.stats == st
+
+    def test_worker_error_reaches_caller(self):
+        """A chunk that raises in a worker process raises the same McError,
+        with its message, in the caller."""
+        cfg = es.SimConfig(UnknownDomain(), None, 64, 1e-3, seed=1)
+        with pytest.raises(es.McError, match="unsupported domain"):
+            es.simulate_exit_times(cfg, workers=2, chunk_paths=4)
 
     def test_csv_round_trip(self, tmp_path, mc_interval_small):
         _, samples = mc_interval_small
