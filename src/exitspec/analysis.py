@@ -16,8 +16,8 @@ import math
 import numpy as np
 
 from .geometry import Grid, DomainSpec
-from .discrete_ops import (SolverError, assemble_half_laplacian, exact_sum,
-                           lanczos)
+from .discrete_ops import (SolverError, _golub_welsch, assemble_half_laplacian,
+                           exact_sum, lanczos)
 from .moments import MomentSequence
 from .spectral import SpectralData
 
@@ -205,7 +205,6 @@ def _cn_heat_sums(op, lu, ks):
     """(q_k for the sorted CN steps ks, diagnostics) from the Gauss rule of
     F = (S + sigma)^{-1} S, with lu the factor of S + sigma; see
     heat_content_timestep."""
-    from .stieltjes import _golub_welsch
     s, S = op.sqrtw, op.sym
     k_max = int(ks[-1])
     m_exact = (k_max + 4) // 2          # least m with 2m - 1 >= k_max + 2

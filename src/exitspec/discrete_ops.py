@@ -1,7 +1,9 @@
 """Discrete generator -(1/2)Delta_h with Dirichlet conditions, direct solves
 through one cached sparse LU per shift, low eigenpairs, quadrature, and a
 Lanczos kernel whose Jacobi matrices give Gauss rules for quadratic forms
-<s, f(A) s> of a map A the caller applies.
+<s, f(A) s> of a map A the caller applies, with the Golub-Welsch solve
+that turns a Jacobi matrix into its Gauss rule (the moment inversion uses
+it too).
 
 One exact-sum kernel, exact_sum, serves every sum over a grid- or
 series-sized array: quadrature here, heat sums in analysis, the closed-form
@@ -238,6 +240,30 @@ def lanczos(apply, start):
         if b == 0.0:
             return
         q_prev, q = q, w / b
+
+
+def _golub_welsch(alpha, beta):
+    """Nodes (decreasing) and weights of the Gauss rule of the Jacobi
+    matrix with diagonal alpha and off-diagonal sqrt(beta_1..): its
+    eigenvalues, and beta_0 times the squared first eigenvector
+    components (Golub & Welsch 1969).
+
+    One call of LAPACK's dstevd, the driver eigh_tridiagonal picks for all
+    eigenpairs, without that wrapper's input checks: the entries are finite
+    by construction. A 1 x 1 matrix is its own eigensolve, and a nonzero
+    LAPACK info raises LinAlgError."""
+    from scipy.linalg.lapack import dstevd
+    d = np.array([float(a) for a in alpha])
+    e = np.sqrt([float(b) for b in beta[1:]])
+    if d.size == 1:
+        nodes, V = d, np.ones((1, 1))
+    else:
+        nodes, V, info = dstevd(d, e, compute_v=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"LAPACK dstevd failed on the Jacobi matrix (info={info})")
+    weights = float(beta[0]) * V[0] ** 2
+    return list(nodes[::-1]), list(weights[::-1])
 
 
 EXACT_SUM_SLICE = 1 << 26  # terms per bincount; keeps every bucket sum exact

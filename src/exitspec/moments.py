@@ -24,8 +24,8 @@ class MomentSequence:
 
     provenance is one of {"pde", "analytic", "montecarlo"}; lambda1 is the
     estimate of the principal eigenvalue used by diagnostics. mu_exact, when
-    present, carries the same moments as exact fractions (interval closed
-    form) for the extended-precision inversion path.
+    present, carries the same moments as exact fractions (the interval and
+    disk closed forms) for the extended-precision inversion path.
     """
 
     def __init__(self, A, provenance, lambda1=None, mu_exact=None, stderr=None):
@@ -158,84 +158,79 @@ def laplace_transform(grid: Grid, s: float, tol: float = 1e-11) -> Field:
 # closed-form moment sequences for the separable domains
 
 
-# scale-free tables of the closed forms, built on first use and shared by
-# every call: the first 2000 zeros of J_0, and the unit-interval mu_n with
-# the Bernoulli numbers they come from. Both tables are prefix-stable, so
-# they only ever grow, and a call takes a slice.
-_J0_ZEROS = None
-_BERNOULLI = (Fraction(1),)
-_INTERVAL_MU = ()
+# the first zero of J_0 as scipy.special.jn_zeros(0, 1) returns it, one
+# ulp below the correctly rounded value, so that the disk's lambda1 agrees
+# with analytic_spectrum, whose disk zeros come from jn_zeros
+_J01 = 2.4048255576957724
+
+# per dimension d, the exact mu_n of the interval (0, 1) or the unit disk,
+# with the coefficients of the last field to grow them by. Each table is
+# prefix-stable, so it only ever grows, and a call takes a slice.
+_BALL = {}
 
 
-def _j0_zeros():
-    """The first 2000 positive zeros of J_0 as a read-only array."""
-    global _J0_ZEROS
-    if _J0_ZEROS is None:
-        import scipy.special as special
-        j0 = special.jn_zeros(0, 2000)
-        j0.flags.writeable = False
-        _J0_ZEROS = j0
-    return _J0_ZEROS
+def _ball_c(d, n_max):
+    """mu_0..mu_{n_max} of the d-ball of unit size, as a fresh list of
+    exact rationals: the interval (0, 1), radius 1/2, for d = 1, and the
+    unit disk for d = 2, with omega = Fraction(pi) standing for pi.
 
-
-def _bernoulli_fractions(n_max):
-    """B_0..B_{n_max} as exact fractions, via the defining recurrence."""
-    global _BERNOULLI
-    B = list(_BERNOULLI)
-    for m in range(len(B), n_max + 1):
-        s = Fraction(0)
-        for k in range(m):
-            s += math.comb(m + 1, k) * B[k]
-        B.append(-s / (m + 1))
-    if len(B) > len(_BERNOULLI):
-        _BERNOULLI = tuple(B)
-    return B[:n_max + 1]
-
-
-def _interval_mu_exact(n_max):
-    """mu_0..mu_{n_max} of the unit interval as a fresh list of exact
-    rationals.
-
-    mu_n = sum over odd k of 8/(k pi)^2 * (2/(k pi)^2)^n, which evaluates in
-    closed form through the even zeta values:
-    mu_n = 8 * 2^n * (1 - 4^{-(n+1)}) * (-1)^n * B_{2n+2} * 2^{2n+1} / (2n+2)!.
+    On a ball of radius rho, u_n is rho^(2n) sum_j e_j (r/rho)^(2j). With
+    c_j the coefficients of u_{n-1}, (1/2) Delta u_n = -n u_{n-1} gives
+    e_{j+1} = -n c_j / ((j+1)(2j+d)), and u_n(rho) = 0 gives e_0. Over the
+    ball (r/rho)^(2j) integrates to omega rho^d 2/(2j+d) (omega = 1 for
+    d = 1), and mu_n = A_n / n!.
     """
-    global _INTERVAL_MU
-    table = _INTERVAL_MU
+    u, table = _BALL.get(d) or ((Fraction(1),), ())
     if len(table) <= n_max:
-        B = _bernoulli_fractions(2 * n_max + 2)
+        omega, rho = (1, Fraction(1, 2)) if d == 1 else (Fraction(math.pi), 1)
         out = list(table)
         for n in range(len(out), n_max + 1):
-            out.append(Fraction(8) * Fraction(2) ** n
-                       * (1 - Fraction(1, 4 ** (n + 1)))
-                       * (-1) ** n * B[2 * n + 2]
-                       * Fraction(2 ** (2 * n + 1), math.factorial(2 * n + 2)))
-        table = _INTERVAL_MU = tuple(out)
+            if n:
+                e = [-n * c / ((j + 1) * (2 * j + d))
+                     for j, c in enumerate(u)]
+                u = (-sum(e), *e)
+            out.append(omega * rho ** (2 * n + d) / math.factorial(n)
+                       * sum(2 * c / (2 * j + d) for j, c in enumerate(u)))
+        table = tuple(out)
+        _BALL[d] = u, table
     return list(table[:n_max + 1])
 
 
 def analytic_moments(spec: DomainSpec, n_max: int) -> MomentSequence:
     """Closed-form moment sequence for interval, rectangle, or disk.
 
-    Interval values are exact rationals (scaled by length); rectangle and
-    disk use spectral sums with mu_0 pinned to the exact volume (the n >= 1
-    sums converge rapidly, the mass sum does not). Each order's terms are
-    the previous order's times r = 2/lambda, from a^2 at order 0, and each
-    sum is correctly rounded. IEEE multiplication is correctly rounded under
-    every numpy SIMD dispatch, where numpy's vectorized pow is not, so the
-    series moments do not depend on the CPU. A negative n_max raises
-    ValueError.
+    The interval and the disk, balls of dimension d = 1 and 2, carry exact
+    moments in mu_exact: their length L or radius R to the power 2n + d
+    times those of the ball of unit size (see _ball_c), with Fraction(pi)
+    for pi in the disk's. A_n is the correctly rounded mu_n times n!.
+
+    The rectangle sums its 200 x 200 odd tensor modes, with mu_0 pinned to
+    the exact area (the n >= 1 sums converge rapidly, the mass sum does
+    not). That table truncates A_1 by 1.2e-8 relative on the unit square
+    and 2.5e-8 at 1 x 2.5 (against the tanh series of A_1 with 4000
+    terms), A_2 by 1e-13, and A_n with n >= 3 not beyond rounding. Each
+    order's terms are the previous order's times r = 2/lambda, from a^2 at
+    order 0, and each sum is correctly rounded. IEEE multiplication is
+    correctly rounded under every numpy SIMD dispatch, where numpy's
+    vectorized pow is not, so the series moments do not depend on the CPU.
+
+    A negative n_max raises ValueError.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if isinstance(spec, Interval):
-        L = spec.b - spec.a
-        exact = _interval_mu_exact(n_max)
-        if L != 1.0:
-            exact = [m * Fraction(L) ** (2 * n + 1) for n, m in enumerate(exact)]
+    if isinstance(spec, (Interval, Disk)):
+        if isinstance(spec, Interval):
+            d, size = 1, spec.b - spec.a
+            lam1 = math.pi ** 2 / size ** 2
+        else:
+            d, size = 2, spec.R
+            lam1 = _J01 * _J01 / size ** 2
+        exact = _ball_c(d, n_max)
+        if size != 1:
+            scale = Fraction(size)
+            exact = [m * scale ** (2 * n + d) for n, m in enumerate(exact)]
         A = [float(m) * math.factorial(n) for n, m in enumerate(exact)]
-        return MomentSequence(A, "analytic", lambda1=math.pi ** 2 / L ** 2,
-                              mu_exact=exact)
+        return MomentSequence(A, "analytic", lambda1=lam1, mu_exact=exact)
     if isinstance(spec, Rectangle):
         K = 399
         i = np.arange(1, K + 1, 2, dtype=float)
@@ -255,17 +250,6 @@ def analytic_moments(spec: DomainSpec, n_max: int) -> MomentSequence:
         lam1 = np.pi ** 2 * (1.0 / spec.Lx ** 2 + 1.0 / spec.Ly ** 2)
         A = [m * math.factorial(n) for n, m in enumerate(mu)]
         return MomentSequence(A, "analytic", lambda1=lam1)
-    if isinstance(spec, Disk):
-        j0 = _j0_zeros()
-        lam = j0 ** 2 / spec.R ** 2
-        a2 = 4.0 * math.pi * spec.R ** 2 / j0 ** 2
-        r = 2.0 / lam
-        mu = [spec.volume()]
-        for n in range(1, n_max + 1):
-            a2 *= r
-            mu.append(exact_sum(a2))
-        A = [m * math.factorial(n) for n, m in enumerate(mu)]
-        return MomentSequence(A, "analytic", lambda1=float(lam[0]))
     raise ValueError(f"no closed-form moments for {spec!r}")
 
 

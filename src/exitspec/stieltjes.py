@@ -23,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .analysis import HeatContentCurve
+from .discrete_ops import _golub_welsch
 from .moments import MomentSequence
 from .spectral import SpectralData
 
@@ -205,10 +206,12 @@ def _chebyshev(mu, p):
 
     Moments that are not all dyadic (exact rationals, not floats) run as
     those of x q with q = mu_0 / mu_1, mu_l q^l, which give alpha_k q and
-    beta_k q^2 for k > 0 and keep every pivot's sign. An interval's exact
-    moments carry L^(2l+1) for its length L; the scaling cancels it, and
-    the rows stay hundreds of bits long instead of thousands. Float
-    moments would only grow by the digits of q.
+    beta_k q^2 for k > 0 and keep every pivot's sign. The exact moments
+    of an interval of length L carry L^(2l+1), and those of a disk of
+    radius R carry pi R^(2l+2) with pi the dyadic Fraction(pi); the
+    scaling cancels the powers, and the rows stay hundreds of bits long
+    instead of thousands. Float moments would only grow by the digits of
+    q.
     """
     n = 2 * p
     ratios = [m.as_integer_ratio() for m in mu[:n]]
@@ -276,30 +279,6 @@ def _jacobi(ms: MomentSequence, source: str, p: int, floor: float):
         alpha, beta = _chebyshev(mu, run)
         hit = table[source] = (key, alpha, beta, len(alpha) < run)
     return _leading(p, hit[1], hit[2])
-
-
-def _golub_welsch(alpha, beta):
-    """Nodes (decreasing) and weights of the Gauss rule of the Jacobi
-    matrix with diagonal alpha and off-diagonal sqrt(beta_1..): its
-    eigenvalues, and beta_0 times the squared first eigenvector
-    components (Golub & Welsch 1969).
-
-    One call of LAPACK's dstevd, the driver eigh_tridiagonal picks for all
-    eigenpairs, without that wrapper's input checks: the entries are finite
-    by construction. A 1 x 1 matrix is its own eigensolve, and a nonzero
-    LAPACK info raises LinAlgError."""
-    from scipy.linalg.lapack import dstevd
-    d = np.array([float(a) for a in alpha])
-    e = np.sqrt([float(b) for b in beta[1:]])
-    if d.size == 1:
-        nodes, V = d, np.ones((1, 1))
-    else:
-        nodes, V, info = dstevd(d, e, compute_v=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(
-                f"LAPACK dstevd failed on the Jacobi matrix (info={info})")
-    weights = float(beta[0]) * V[0] ** 2
-    return list(nodes[::-1]), list(weights[::-1])
 
 
 def invert_moments(ms: MomentSequence, p: int,

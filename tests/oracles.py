@@ -92,6 +92,38 @@ def rectangle_exact_moment1(lx, ly, terms=400):
     return total - 32.0 * lx ** 4 / math.pi ** 5 * s
 
 
+def disk_field_polys(n_max):
+    """Coefficient lists (Fraction, ascending powers of r) of the radial
+    exit-moment fields u_1..u_n on the unit disk, built by integrating
+    (1/r)(r u_k')' = -2 k u_{k-1} twice and fixing u_k(1) = 0.
+
+    u_0 = 1.  The first integration, r u_k' = integral_0^r -2k s u_{k-1}(s)
+    ds, vanishes at r = 0, so u_k' is a polynomial with no 1/r term; the
+    second integration's constant is the boundary value's."""
+    polys = []
+    prev = [Fraction(1)]
+    for k in range(1, n_max + 1):
+        rhs = [Fraction(0)] + [Fraction(-2 * k) * c for c in prev]  # times r
+        r_du = [Fraction(0)] + [c / (j + 1) for j, c in enumerate(rhs)]
+        du = r_du[1:]
+        u = [Fraction(0)] + [c / (j + 1) for j, c in enumerate(du)]
+        u[0] -= sum(u)
+        polys.append(u)
+        prev = u
+    return polys
+
+
+def disk_exact_moments(n_max):
+    """mu_k / pi of the unit disk as exact Fractions, k = 0..n_max:
+    (2 pi integral_0^1 u_k r dr) / (pi k!)."""
+    mus = [Fraction(1)]
+    fact = 1
+    for k, poly in enumerate(disk_field_polys(n_max), start=1):
+        fact *= k
+        mus.append(2 * sum(c / (j + 2) for j, c in enumerate(poly)) / fact)
+    return mus
+
+
 def disk_exact_moment1(r):
     # u_1 = (r^2 - |x|^2)/2 for generator Delta/2, so A_1 = pi r^4 / 4
     return math.pi * r ** 4 / 4.0
@@ -99,23 +131,16 @@ def disk_exact_moment1(r):
 
 def series_moments_fsum(spec, n_max):
     """A_0..A_{n_max} and mu_0..mu_{n_max} of a rectangle (spec.Lx, spec.Ly)
-    or a disk (spec.R) from the closed-form series, each order summed by
-    math.fsum over the same float terms the package forms: 200 x 200 odd
-    tensor modes, or the first 2000 zeros of J_0, with mu_0 the volume, and
-    order n's terms t_n = t_{n-1} * (2/lambda) from t_0 = a^2."""
-    if hasattr(spec, "R"):
-        from scipy.special import jn_zeros
-        j0 = jn_zeros(0, 2000)
-        lam = j0 ** 2 / spec.R ** 2
-        a2 = 4.0 * math.pi * spec.R ** 2 / j0 ** 2
-        mu = [math.pi * spec.R ** 2]
-    else:
-        i = np.arange(1, 400, 2, dtype=float)
-        lam = np.pi ** 2 * (i[:, None] ** 2 / spec.Lx ** 2
-                            + i[None, :] ** 2 / spec.Ly ** 2)
-        a2 = 64.0 * spec.Lx * spec.Ly / (i[:, None] ** 2 * i[None, :] ** 2
-                                         * np.pi ** 4)
-        mu = [spec.Lx * spec.Ly]
+    from the closed-form series, each order summed by math.fsum over the
+    same float terms the package forms: 200 x 200 odd tensor modes, with
+    mu_0 the area, and order n's terms t_n = t_{n-1} * (2/lambda) from
+    t_0 = a^2."""
+    i = np.arange(1, 400, 2, dtype=float)
+    lam = np.pi ** 2 * (i[:, None] ** 2 / spec.Lx ** 2
+                        + i[None, :] ** 2 / spec.Ly ** 2)
+    a2 = 64.0 * spec.Lx * spec.Ly / (i[:, None] ** 2 * i[None, :] ** 2
+                                     * np.pi ** 4)
+    mu = [spec.Lx * spec.Ly]
     r, t = 2.0 / lam, a2
     for n in range(1, n_max + 1):
         t = t * r

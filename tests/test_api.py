@@ -42,6 +42,8 @@ s = es.simulate_exit_times(cfg)
 es.mc_survival(cfg, 0.1, samples=s)
 es.mc_laplace(cfg, 1.0, samples=s)
 es.mc_moments(s, 1)
+es.analytic_moments(es.Interval(0, 1), 17)
+es.analytic_moments(es.Disk(1), 17)
 heavy = ("scipy.sparse", "scipy.linalg", "scipy.special")
 print(json.dumps(sorted(m for m in sys.modules if m.startswith(heavy))))
 """
@@ -49,7 +51,8 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith(heavy))))
 
 def test_import_and_monte_carlo_load_no_scipy_submodule():
     """scipy's sparse, linalg and special load on first use, so importing
-    the package and the CLI and a Monte Carlo run never pay for them."""
+    the package and the CLI, a Monte Carlo run and the interval's and the
+    disk's exact moments never pay for them."""
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run([sys.executable, "-c", FOOTPRINT_PROBE],
                          env=dict(os.environ, PYTHONPATH=str(src)),

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import jn_zeros
 
 import exitspec as es
 from exitspec import moments
@@ -50,23 +51,30 @@ class TestAnalytic:
             oracles.rectangle_exact_moment1(2.0, 0.7), rel=1e-7)
 
     def test_disk_closed_forms(self):
-        ms = es.analytic_moments(es.Disk(1.0), 2)
-        assert ms.A[0] == pytest.approx(math.pi, rel=1e-14)
-        assert ms.A[1] == pytest.approx(math.pi / 4, rel=1e-9)
-        # u2 = (R^2-r^2)(3R^2-r^2)/8 integrates to pi/6
-        assert ms.A[2] == pytest.approx(math.pi / 6, rel=1e-9)
+        """A_1 = pi R^4/4 and A_2 = pi R^6/6 to one ulp. R^4 and R^6 are
+        exact at these radii, so the float formulas round only at the
+        product with pi and the division."""
+        for R in (1.0, 0.5, 3.0, 1.5 * 2.0 ** -10, 1.25 * 2.0 ** 10):
+            ms = es.analytic_moments(es.Disk(R), 2)
+            assert ms.A[0] == pytest.approx(math.pi * R ** 2, rel=1e-15)
+            a1 = oracles.disk_exact_moment1(R)
+            assert abs(ms.A[1] - a1) <= math.ulp(a1)
+            # u2 = (R^2-r^2)(3R^2-r^2)/8 integrates to pi R^6/6
+            a2 = math.pi * R ** 6 / 6
+            assert abs(ms.A[2] - a2) <= math.ulp(a2)
 
     def test_lambda1_attached(self):
         ms = es.analytic_moments(es.Interval(0, 1), 3)
         assert ms.lambda1 == pytest.approx(math.pi ** 2, rel=1e-14)
 
     def test_negative_n_max_rejected(self):
-        tables = (moments._INTERVAL_MU, moments._BERNOULLI)
+        tables = dict(moments._BALL)
         for spec in (es.Interval(0, 1), es.Rectangle(1, 2), es.Disk(1)):
             with pytest.raises(ValueError, match="n_max"):
                 es.analytic_moments(spec, -1)
-        assert (moments._INTERVAL_MU, moments._BERNOULLI) == tables
+        assert moments._BALL == tables
         assert es.analytic_moments(es.Interval(0, 1), 0).A == [1.0]
+        assert es.analytic_moments(es.Disk(1), 0).A == [math.pi]
 
 
 SPECS = [es.Interval(0, 1), es.Interval(2, 2.37), es.Disk(1), es.Disk(0.3)]
@@ -78,22 +86,21 @@ def fingerprint(spec, n_max):
 
 
 def test_tables_do_not_depend_on_call_history(monkeypatch):
-    """The scale-free tables only grow, and a call reads a prefix: a small
-    request after a large one gives what it gives on empty tables."""
-    for name, empty in (("_INTERVAL_MU", ()), ("_BERNOULLI", (Fraction(1),)),
-                        ("_J0_ZEROS", None)):
-        monkeypatch.setattr(moments, name, empty)
+    """The scale-free ball tables only grow, and a call reads a prefix: a
+    small request after a large one gives what it gives on empty tables."""
+    monkeypatch.setattr(moments, "_BALL", {})
     small = [fingerprint(spec, 4) for spec in SPECS]
-    assert len(moments._INTERVAL_MU) == 5
+    assert {d: len(t) for d, (_, t) in moments._BALL.items()} == {1: 5, 2: 5}
     for spec in SPECS:
         fingerprint(spec, 21)
-    assert len(moments._INTERVAL_MU) == 22
-    assert len(moments._BERNOULLI) == 2 * 21 + 3
+    assert {d: len(t) for d, (_, t) in moments._BALL.items()} == {1: 22,
+                                                                  2: 22}
     assert [fingerprint(spec, 4) for spec in SPECS] == small
 
 
 def test_returned_moments_do_not_alias_the_tables():
-    for spec in (es.Interval(0, 1), es.Interval(0, 3)):
+    for spec in (es.Interval(0, 1), es.Interval(0, 3), es.Disk(1),
+                 es.Disk(0.3)):
         want = list(es.analytic_moments(spec, 6).mu_exact)
         got = es.analytic_moments(spec, 6).mu_exact
         got[0] = Fraction(-1)
@@ -102,31 +109,24 @@ def test_returned_moments_do_not_alias_the_tables():
 
 
 def test_tables_grow_safely_under_threads(monkeypatch):
-    """Threads that grow the interval table at once each get their own
-    full prefix, whichever of them stores its table last."""
-    monkeypatch.setattr(moments, "_INTERVAL_MU", ())
-    monkeypatch.setattr(moments, "_BERNOULLI", (Fraction(1),))
-    want = oracles.interval_exact_moments(24)
-    orders = [3 + (7 * i) % 22 for i in range(24)]
+    """Threads that grow the interval and disk tables at once each get
+    their own full prefix, whichever of them stores its table last."""
+    monkeypatch.setattr(moments, "_BALL", {})
+    pi = Fraction(math.pi)
+    want = [(es.Interval(0, 1), oracles.interval_exact_moments(24)),
+            (es.Disk(1), [pi * m for m in oracles.disk_exact_moments(24)])]
+    jobs = [(spec, 3 + (7 * i) % 22, mu) for i in range(24)
+            for spec, mu in want]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as ex:
-            got = list(ex.map(lambda n: es.analytic_moments(
-                es.Interval(0, 1), n).mu_exact, orders, timeout=60))
+            got = list(ex.map(lambda job: es.analytic_moments(
+                job[0], job[1]).mu_exact, jobs, timeout=60))
     finally:
         sys.setswitchinterval(interval)
-    for n, mu in zip(orders, got):
-        assert mu == want[:n + 1]
-
-
-def test_bessel_zeros_are_read_only():
-    es.analytic_moments(es.Disk(1), 1)
-    zeros = moments._J0_ZEROS
-    assert zeros.shape == (2000,) and not zeros.flags.writeable
-    with pytest.raises(ValueError):
-        zeros[0] = 0.0
-    assert zeros[0] == pytest.approx(2.404825557695773, rel=1e-15)
+    for (_, n, mu), g in zip(jobs, got):
+        assert g == mu[:n + 1]
 
 
 @pytest.mark.parametrize("spec, d, dilate", [
@@ -148,11 +148,10 @@ def test_analytic_moments_follow_dilations(spec, d, dilate):
 
 @pytest.mark.parametrize("k", range(-3, 4))
 def test_series_moments_match_fsum_oracle(k):
-    """Rectangle and disk series, bit for bit against math.fsum over the
-    same terms, whatever the platform's numpy kernels give for the terms."""
+    """Rectangle series, bit for bit against math.fsum over the same terms,
+    whatever the platform's numpy kernels give for the terms."""
     c = 10.0 ** k
-    specs = [es.Rectangle(c, ar * c) for ar in (1.0, 1.7, 2.5, 4.0)]
-    for spec in specs + [es.Disk(c)]:
+    for spec in [es.Rectangle(c, ar * c) for ar in (1.0, 1.7, 2.5, 4.0)]:
         want_A, want_mu = oracles.series_moments_fsum(spec, 25)
         for n_max in (1, 9, 17, 25):
             ms = es.analytic_moments(spec, n_max)
@@ -160,6 +159,25 @@ def test_series_moments_match_fsum_oracle(k):
                     == [a.hex() for a in want_A[:n_max + 1]]), (spec, n_max)
             assert ([m.hex() for m in ms.mu]
                     == [m.hex() for m in want_mu[:n_max + 1]]), (spec, n_max)
+
+
+@pytest.mark.parametrize("k", range(-3, 4))
+def test_disk_moments_match_exact_oracle(k):
+    """Disk moments are exact: mu_exact is Fraction(pi) R^(2n+2) times the
+    oracle's integration of the radial hierarchy, literally, each A_n is
+    that mu_n correctly rounded times n!, and lambda_1 is scipy's j_{0,1}
+    squared over R^2."""
+    R = 0.37 * 10.0 ** k
+    pi, want = Fraction(math.pi), oracles.disk_exact_moments(25)
+    j01 = float(jn_zeros(0, 1)[0])
+    for n_max in (1, 9, 17, 25):
+        ms = es.analytic_moments(es.Disk(R), n_max)
+        exact = [pi * Fraction(R) ** (2 * n + 2) * m
+                 for n, m in enumerate(want[:n_max + 1])]
+        assert ms.mu_exact == exact
+        assert ms.A == [float(m) * math.factorial(n)
+                        for n, m in enumerate(exact)]
+        assert ms.lambda1 == j01 * j01 / R ** 2
 
 
 def _umath():
@@ -180,10 +198,10 @@ def avx512_dispatch_groups():
 
 
 def series_digest():
-    """sha256 of the bits of rectangle and disk series moments."""
+    """sha256 of the bits of rectangle series moments."""
     h = hashlib.sha256()
     for spec in (es.Rectangle(1.0, 2.5), es.Rectangle(0.37, 0.8),
-                 es.Rectangle(1e3, 4e3), es.Disk(1.0), es.Disk(2e-3)):
+                 es.Rectangle(1e3, 4e3)):
         h.update(" ".join(a.hex() for a in es.analytic_moments(spec, 25).A)
                  .encode())
     return h.hexdigest()
@@ -200,7 +218,7 @@ print(json.dumps([series_digest(), avx512_dispatch_groups(),
 
 
 def test_series_moments_do_not_depend_on_simd_dispatch():
-    """Rectangle and disk series hash the same with numpy's AVX-512 loops
+    """Rectangle series hash the same with numpy's AVX-512 loops
     switched off: every term is a product of correctly rounded
     multiplications, which no SIMD kernel set changes."""
     groups = avx512_dispatch_groups()

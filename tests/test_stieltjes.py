@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import jn_zeros
 
 import exitspec as es
 import exitspec.stieltjes as stieltjes
@@ -235,8 +236,22 @@ class TestInvert:
         assert err_std > 1e-6          # float moments cap at p = 5
         assert err_ext < 1e-7          # six atoms cut the truncation error
         assert err_ext < err_std / 50
+        # the disk's exact moments keep all 8 atoms at every scale, and
+        # lambda_1..lambda_3 sit within 1e-7 of j_{0,k}^2 / R^2
+        j0 = jn_zeros(0, 3)
+        for R in (1e-3, 1e-1, 1.0, 10.0, 1e3):
+            ms = es.analytic_moments(es.Disk(R), 15)
+            std = es.invert_moments(ms, 8)
+            ext = es.invert_moments(ms, 8, precision="extended")
+            assert std.diagnostics["p_effective"] == 5
+            assert ext.diagnostics["p_effective"] == 8
+            std_err, ext_err = ([abs(2.0 / x - (j / R) ** 2) / (j / R) ** 2
+                                 for (x, _), j in zip(am.atoms, j0)]
+                                for am in (std, ext))
+            assert max(ext_err) <= 1e-7
+            assert ext_err[2] < std_err[2] / 50
 
-    @pytest.mark.parametrize("kind", ["rectangle", "disk", "interval-pde",
+    @pytest.mark.parametrize("kind", ["rectangle", "interval-pde",
                                       "rectangle-pde"])
     def test_precisions_agree_without_exact_moments(self, kind):
         """Without mu_exact both precisions run the one exact recurrence on
@@ -245,8 +260,6 @@ class TestInvert:
         for c in (1e-3, 1e-1, 1.0, 10.0, 1e3):
             if kind == "rectangle":
                 ms = es.analytic_moments(es.Rectangle(c, 2.5 * c), 15)
-            elif kind == "disk":
-                ms = es.analytic_moments(es.Disk(c), 15)
             elif kind == "interval-pde":
                 ms = es.pde_moments(es.Interval(0, c), c / 128, 15)[0]
             else:
