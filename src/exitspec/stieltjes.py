@@ -98,6 +98,7 @@ def hankel_psd_check(ms: MomentSequence, p: int, eps_psd: float = 1e-9):
     Non-finite moments raise ValueError; nonpositive ones are left to the
     eigenvalue test."""
     ms.validate(positive=False)
+    ms._require("mu", positive=False)
     if p < 1:
         raise ValueError("p must be >= 1")
     if 2 * p > ms.n_max + 1:
@@ -275,6 +276,7 @@ def _jacobi(ms: MomentSequence, source: str, p: int, floor: float):
     # a run shorter than asked ended at a nonpositive pivot and answers
     # every p; a full run answers every p up to its length
     if hit is None or hit[0] != key or (len(hit[1]) < p and not hit[3]):
+        ms._require(source)             # once per contents of the list
         run = atom_count_cap(ms, (ms.n_max + 1) // 2, floor)
         alpha, beta = _chebyshev(mu, run)
         hit = table[source] = (key, alpha, beta, len(alpha) < run)
@@ -304,7 +306,11 @@ def invert_moments(ms: MomentSequence, p: int,
         raise ValueError("p must be >= 1")
     if 2 * p > ms.n_max + 1:
         raise ValueError(f"p={p} needs n_max >= {2*p-1}, have {ms.n_max}")
+    # A, mu and mu_exact are independent lists, so each one read is
+    # checked: A and mu (the cap and the residuals read it) here, the
+    # recurrence's list in _jacobi
     ms.validate()
+    ms._require("mu")
     exact = precision == "extended" and ms.mu_exact is not None
     # exact rational moments: the recurrence is exact and only the float64
     # tridiagonal eigensolve rounds, so cap against a floor far below the

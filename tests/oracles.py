@@ -78,17 +78,17 @@ def interval_true_atoms(m):
     return atoms
 
 
-def rectangle_exact_moment1(lx, ly, terms=400):
+def rectangle_exact_moment1(lx, ly, terms=4000):
     """A_1 = E-integral of the torsion function over an lx x ly rectangle,
-    by the classical single-sum series (independent of the double sine
-    series used elsewhere)."""
+    by the classical single-sum series over lx's modes (independent of the
+    double sine series used elsewhere). The sum's tail past `terms` terms
+    is below terms^-4/128, and math.fsum keeps the terms that fall below
+    the running sum's last bit."""
     # torsion u with (1/2) u'' = -1: u = x(lx - x) corrected by a cosh
     # series in y; integrate termwise.
     total = lx ** 3 * ly / 6.0
-    s = 0.0
-    for n in range(terms):
-        k = (2 * n + 1) * math.pi / lx
-        s += math.tanh(k * ly / 2.0) / (2 * n + 1) ** 5
+    s = math.fsum(math.tanh((2 * n + 1) * math.pi / lx * ly / 2.0)
+                  / (2 * n + 1) ** 5 for n in range(terms))
     return total - 32.0 * lx ** 4 / math.pi ** 5 * s
 
 
@@ -129,24 +129,74 @@ def disk_exact_moment1(r):
     return math.pi * r ** 4 / 4.0
 
 
-def series_moments_fsum(spec, n_max):
-    """A_0..A_{n_max} and mu_0..mu_{n_max} of a rectangle (spec.Lx, spec.Ly)
-    from the closed-form series, each order summed by math.fsum over the
-    same float terms the package forms: 200 x 200 odd tensor modes, with
-    mu_0 the area, and order n's terms t_n = t_{n-1} * (2/lambda) from
-    t_0 = a^2."""
-    i = np.arange(1, 400, 2, dtype=float)
-    lam = np.pi ** 2 * (i[:, None] ** 2 / spec.Lx ** 2
-                        + i[None, :] ** 2 / spec.Ly ** 2)
-    a2 = 64.0 * spec.Lx * spec.Ly / (i[:, None] ** 2 * i[None, :] ** 2
-                                     * np.pi ** 4)
-    mu = [spec.Lx * spec.Ly]
-    r, t = 2.0 / lam, a2
-    for n in range(1, n_max + 1):
-        t = t * r
+def rectangle_moments(lx, ly, n_max, dps=40):
+    """mu_0..mu_{n_max} of the lx x ly rectangle, as floats.
+
+    mu_1 and mu_2 come from the one-axis closed forms in mpmath at dps
+    digits, summed over the modes of the LONGER side, so that the series
+    the package sums (over the shorter side's modes) is not the one
+    checked. With a the longer side, b the shorter, x_i = i pi b/a and
+    mu_n(a) the interval's exact moments:
+      mu_1 = b mu_1(a) - (32 a^4/pi^5) sum_i tanh(x_i/2)/i^5,
+      mu_2 = b mu_2(a) - (96 a^6/pi^7) sum_i tanh(x_i/2)/i^7
+             + (16 a^5 b/pi^6) sum_i sech^2(x_i/2)/i^6,
+    over odd i, the tanh sums as lambda(s) - sum_i (1 - tanh(x_i/2))/i^s
+    with lambda(s) = (1 - 2^-s) zeta(s).
+
+    n >= 3 sums the odd tensor modes by math.fsum over a table with the
+    float terms the package forms (per side L, kappa = (pi i/L)^2/2 and
+    w = 4/(L kappa); t_n = t_{n-1} r from t_0 = w_i w_j, r =
+    1/(kappa_i + kappa_j)), as large as the package's tail bound gives at
+    2^-60 instead of 2^-56 for each order on its own.
+    """
+    import mpmath
+
+    s, l = sorted((float(lx), float(ly)))
+    unit = interval_exact_moments(2)
+    with mpmath.workdps(dps):
+        a, b, pi = mpmath.mpf(l), mpmath.mpf(s), mpmath.pi
+        lam = [(1 - mpmath.mpf(2) ** -k) * mpmath.zeta(k) for k in (5, 7)]
+        t5 = t7 = h6 = mpmath.mpf(0)
+        i = 1
+        while i * pi * b / a < 2.5 * dps:       # e^-x below 10^-dps
+            x = i * pi * b / a
+            t5 += (1 - mpmath.tanh(x / 2)) / i ** 5
+            t7 += (1 - mpmath.tanh(x / 2)) / i ** 7
+            h6 += mpmath.sech(x / 2) ** 2 / i ** 6
+            i += 2
+        m1a, m2a = (mpmath.mpf(m.numerator) / m.denominator * a ** (2 * n + 1)
+                    for n, m in ((1, unit[1]), (2, unit[2])))
+        mu1 = b * m1a - 32 * a ** 4 / pi ** 5 * (lam[0] - t5)
+        mu2 = (b * m2a - 96 * a ** 6 / pi ** 7 * (lam[1] - t7)
+               + 16 * a ** 5 * b / pi ** 6 * h6)
+        mu = [s * l, float(mu1), float(mu2)][:n_max + 1]
+    for n in range(3, n_max + 1):
+        ka, kb = (_odd_kappa(side, _tail_modes(n, (side / other) ** 2))
+                  for side, other in ((s, l), (l, s)))
+        t = np.multiply.outer(4.0 / (s * ka), 4.0 / (l * kb))
+        r = 1.0 / np.add.outer(ka, kb)
+        for _ in range(n):
+            t = t * r
         mu.append(math.fsum(t.ravel()))
-    A = [m * math.factorial(n) for n, m in enumerate(mu)]
-    return A, [a / math.factorial(n) for n, a in enumerate(A)]
+    return mu
+
+
+def _tail_modes(n, q, tail=2.0 ** -60):
+    """Least odd K with (pi^2/8)(1 + q)^n K^-(2n+1)/(4n+2) <= tail, by
+    counting up."""
+    k = 1
+    while math.pi ** 2 / 8 * (1 + q) ** n * float(k) ** -(2 * n + 1) \
+            / (4 * n + 2) > tail:
+        k += 2
+    return k
+
+
+def _odd_kappa(L, k):
+    """(pi i/L)^2/2 for odd i <= k, by the package's float operations."""
+    x = np.arange(1.0, k + 1, 2) * (np.pi / L)
+    x *= x
+    x *= 0.5
+    return x
 
 
 def _det(rows):

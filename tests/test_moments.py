@@ -41,14 +41,24 @@ class TestAnalytic:
                                               rel=1e-13)
 
     def test_rectangle_first_moment_vs_series(self):
-        # tensor sine series against the independent single-sum form;
-        # agreement is limited by the package's series truncation
+        # the package's closed form against the classical single-sum form,
+        # summed in floats: agreement is limited by the oracle's rounding
         ms = es.analytic_moments(es.Rectangle(1.0, 1.0), 2)
         assert ms.A[1] == pytest.approx(oracles.rectangle_exact_moment1(1, 1),
-                                        rel=1e-7)
+                                        rel=1e-12)
         ms2 = es.analytic_moments(es.Rectangle(2.0, 0.7), 1)
         assert ms2.A[1] == pytest.approx(
-            oracles.rectangle_exact_moment1(2.0, 0.7), rel=1e-7)
+            oracles.rectangle_exact_moment1(2.0, 0.7), rel=1e-12)
+
+    def test_rectangle_sides_commute(self):
+        """Rectangle(a, b) and Rectangle(b, a) are one domain: the same
+        bits of every A_n, and the same lambda_1."""
+        for a, b in ((1.0, 2.5), (0.37, 0.8), (1.0, 10.0), (3e-3, 1.7e-3),
+                     (1e3, 4e3)):
+            ab = es.analytic_moments(es.Rectangle(a, b), 25)
+            ba = es.analytic_moments(es.Rectangle(b, a), 25)
+            assert [x.hex() for x in ab.A] == [x.hex() for x in ba.A]
+            assert ab.lambda1 == ba.lambda1
 
     def test_disk_closed_forms(self):
         """A_1 = pi R^4/4 and A_2 = pi R^6/6 to one ulp. R^4 and R^6 are
@@ -132,8 +142,9 @@ def test_tables_grow_safely_under_threads(monkeypatch):
 @pytest.mark.parametrize("spec, d, dilate", [
     (es.Interval(0, 1), 1, lambda c: es.Interval(0, c)),
     (es.Rectangle(1, 1.3), 2, lambda c: es.Rectangle(c, 1.3 * c)),
+    (es.Rectangle(1, 10), 2, lambda c: es.Rectangle(c, 10 * c)),
     (es.Disk(1), 2, lambda c: es.Disk(c))],
-    ids=["interval", "rectangle", "disk"])
+    ids=["interval", "rectangle", "thin-rectangle", "disk"])
 def test_analytic_moments_follow_dilations(spec, d, dilate):
     """Dilating the domain by c = 2^k scales A_n by c^(2n+d) and lambda_1
     by c^-2: no table may carry a scale of its own."""
@@ -148,17 +159,28 @@ def test_analytic_moments_follow_dilations(spec, d, dilate):
 
 @pytest.mark.parametrize("k", range(-3, 4))
 def test_series_moments_match_fsum_oracle(k):
-    """Rectangle series, bit for bit against math.fsum over the same terms,
-    whatever the platform's numpy kernels give for the terms."""
+    """Rectangle moments against converged references: 40-digit closed
+    forms summed over the other side's modes for n = 1 and 2, and for
+    n >= 3 math.fsum over a table whose dropped tail is 16 times smaller
+    than the package's. A_1 is within 1e-15 and A_2 within 4e-15; every
+    later A_n is n! times the reference mu_n or a neighbouring float, as
+    the package's correctly rounded sum is within one ulp of it. A longer
+    sequence extends a shorter one."""
     c = 10.0 ** k
-    for spec in [es.Rectangle(c, ar * c) for ar in (1.0, 1.7, 2.5, 4.0)]:
-        want_A, want_mu = oracles.series_moments_fsum(spec, 25)
-        for n_max in (1, 9, 17, 25):
-            ms = es.analytic_moments(spec, n_max)
-            assert ([a.hex() for a in ms.A]
-                    == [a.hex() for a in want_A[:n_max + 1]]), (spec, n_max)
-            assert ([m.hex() for m in ms.mu]
-                    == [m.hex() for m in want_mu[:n_max + 1]]), (spec, n_max)
+    for ar in (1.0, 1.7, 2.5, 4.0, 10.0):
+        spec = es.Rectangle(c, ar * c)
+        want = oracles.rectangle_moments(c, ar * c, 25)
+        ms = es.analytic_moments(spec, 25)
+        assert ms.A[0] == want[0] == spec.volume()
+        assert ms.A[1] == pytest.approx(want[1], rel=1e-15, abs=0)
+        assert ms.A[2] == pytest.approx(2 * want[2], rel=4e-15, abs=0)
+        for n in range(3, 26):
+            w = want[n]
+            assert ms.A[n] in {m * math.factorial(n) for m in (
+                math.nextafter(w, 0), w, math.nextafter(w, math.inf))}, \
+                (spec, n)
+        for n_max in (0, 1, 2, 3, 9, 17):
+            assert es.analytic_moments(spec, n_max).A == ms.A[:n_max + 1]
 
 
 @pytest.mark.parametrize("k", range(-3, 4))
@@ -198,10 +220,10 @@ def avx512_dispatch_groups():
 
 
 def series_digest():
-    """sha256 of the bits of rectangle series moments."""
+    """sha256 of the bits of rectangle moments, a thin one among them."""
     h = hashlib.sha256()
     for spec in (es.Rectangle(1.0, 2.5), es.Rectangle(0.37, 0.8),
-                 es.Rectangle(1e3, 4e3)):
+                 es.Rectangle(1e3, 4e3), es.Rectangle(1.0, 10.0)):
         h.update(" ".join(a.hex() for a in es.analytic_moments(spec, 25).A)
                  .encode())
     return h.hexdigest()
@@ -218,9 +240,10 @@ print(json.dumps([series_digest(), avx512_dispatch_groups(),
 
 
 def test_series_moments_do_not_depend_on_simd_dispatch():
-    """Rectangle series hash the same with numpy's AVX-512 loops
-    switched off: every term is a product of correctly rounded
-    multiplications, which no SIMD kernel set changes."""
+    """Rectangle moments hash the same with numpy's AVX-512 loops
+    switched off: every table term comes from correctly rounded
+    operations, which no SIMD kernel set changes, and the first two
+    orders from scalar math.exp, which numpy does not dispatch."""
     groups = avx512_dispatch_groups()
     if not groups:
         pytest.skip("numpy dispatches no AVX-512 group on this CPU")
@@ -310,6 +333,35 @@ def test_validate_rejects_bad_sequences(capfd):
         with pytest.raises(ValueError, match="A_3"):
             es.hankel_psd_check(ms, 3)
     # rejected before any LAPACK call can complain on stderr
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.25, 0.0])
+def test_checks_name_the_list_they_read(bad, capfd):
+    """A, mu and mu_exact are independent lists. With A valid and mu_3
+    made bad after a first inversion, the inversion, which reads mu, names
+    mu_3, and so does the PSD check unless the value is finite; the
+    extended inversion of exact moments names a bad mu_exact_3, which the
+    standard one never reads."""
+    ms = es.analytic_moments(es.Rectangle(1, 2.5), 9)
+    for precision in ("standard", "extended"):
+        es.invert_moments(ms, 3, precision)
+    ms.mu[3] = bad
+    ms.validate()
+    for precision in ("standard", "extended"):
+        with pytest.raises(ValueError, match="mu_3 = "):
+            es.invert_moments(ms, 3, precision)
+    if math.isfinite(bad):
+        es.hankel_psd_check(ms, 3)
+    else:
+        with pytest.raises(ValueError, match="mu_3 = .* not finite"):
+            es.hankel_psd_check(ms, 3)
+    ms = es.analytic_moments(es.Interval(0, 1), 9)
+    es.invert_moments(ms, 3, "extended")
+    ms.mu_exact[3] = -ms.mu_exact[3]
+    with pytest.raises(ValueError, match="mu_exact_3 = .* not positive"):
+        es.invert_moments(ms, 3, "extended")
+    assert es.invert_moments(ms, 3, "standard").p == 3
     assert capfd.readouterr().err == ""
 
 
