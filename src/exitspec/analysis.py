@@ -30,6 +30,8 @@ class HeatContentCurve:
         q = np.asarray(q, dtype=float)
         if times.ndim != 1 or times.shape != q.shape:
             raise ValueError("times and q must be matching 1D arrays")
+        if not np.isfinite(times).all():
+            raise ValueError("times must be finite")
         if np.any(times <= 0) or np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing and positive")
         if provenance not in ("spectral_sum", "timestep", "reconstructed"):

@@ -11,6 +11,7 @@ replays a manifest and checks the hashes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -31,8 +32,9 @@ from .geometry import (Disk, Interval, Polygon, Rectangle, build_grid,
                        build_radial_grid, perturb_polygon)
 from .moments import (analytic_moments, carleman_diagnostic,
                       exit_moment_fields, moment_sequence)
-from .montecarlo import McError, SimConfig, estimates_to_json, mc_laplace, \
-    mc_moments, mc_survival, simulate_exit_times
+from .montecarlo import McError, SimConfig, _fork_context, \
+    estimates_to_json, mc_laplace, mc_moments, mc_survival, \
+    simulate_exit_times
 from .spectral import (SpectralData, analytic_spectrum, essential_spectrum,
                        numeric_spectrum, property_m_report)
 from .stieltjes import (InversionError, hankel_psd_check, invert_moments,
@@ -288,14 +290,20 @@ def _spectrum_stage(r: Runner, m, numeric):
     return sd
 
 
-def _heat_stage(r: Runner):
-    """Time-stepped heat content on the run's grid, plus spectral and fit."""
+def _heat_curve(r: Runner):
+    """Time-stepped heat content on the run's grid; writes nothing."""
     t_min, t_max = r.cfg["heat.t_min"], r.cfg["heat.t_max"]
     if t_min <= 0 or t_max <= t_min:
         raise ConfigError("need 0 < heat.t_min < heat.t_max")
     times = np.geomspace(t_min, t_max, r.cfg["heat.samples"])
     dt = r.cfg["heat.dt"] or t_min / 16.0
-    curve = heat_content_timestep(r.grid, times, dt)
+    return heat_content_timestep(r.grid, times, dt)
+
+
+def _heat_stage(r: Runner, curve):
+    """Writes the time-stepped curve, plus spectral and fit."""
+    t_min, t_max = r.cfg["heat.t_min"], r.cfg["heat.t_max"]
+    times = curve.times
     curve.to_csv(r.path("heat_timestep.csv"))
     d = curve.diagnostics
     lines = [f"heat: q({t_min:g})={curve.q[0]:.9g} from {d['lanczos_steps']} "
@@ -355,7 +363,7 @@ def run_invert(r: Runner):
 
 
 def run_heat(r: Runner):
-    _heat_stage(r)
+    _heat_stage(r, _heat_curve(r))
     return 0
 
 
@@ -480,45 +488,111 @@ def run_compare(r: Runner):
     return 0
 
 
+def _send_result(conn, fn, args):
+    """Body of _beside's child: sends (True, fn(*args)) or (False, the
+    exception it raised) and exits."""
+    try:
+        msg = (True, fn(*args))
+    except Exception as exc:  # noqa: BLE001 - raised again in the parent
+        msg = (False, exc)
+    conn.send(msg)
+    conn.close()
+
+
+@contextlib.contextmanager
+def _beside(fn, *args):
+    """Compute fn(*args) beside the with-body, which receives a function
+    that returns the result or raises what fn raised.
+
+    Where _fork_context allows, fn runs on a child forked on entry. The
+    child inherits fn and its arguments, so nothing is pickled but the
+    result, and a closure serves as well as a module-level function. It
+    writes no file and prints nothing: Process.start flushes stdout and
+    stderr before the fork, so no buffered line is printed twice. Leaving
+    the block ends and joins the child, whether its result was taken or
+    not. Otherwise fn runs in-process when the result is asked for.
+    """
+    ctx = _fork_context()
+    if ctx is None:
+        yield lambda: fn(*args)
+        return
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_result, args=(send, fn, args))
+    child.start()
+    send.close()
+
+    def result():
+        try:
+            ok, value = recv.recv()
+        except EOFError:
+            child.join()
+            raise ChildProcessError(
+                f"{fn.__name__} exited with code {child.exitcode} on its "
+                f"forked process before sending a result") from None
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield result
+    finally:
+        recv.close()
+        child.terminate()  # a child that has sent its result is exiting
+        child.join()
+
+
 def run_all(r: Runner):
     """Full chain on the run's grid: moments -> invert -> compare -> heat
-    -> verify, summarized in summary.json."""
+    -> verify, summarized in summary.json.
+
+    The heat curve needs only the grid, so it is computed beside the
+    moment -> spectrum chain (see _beside): on a child forked as soon as
+    the grid and its operator exist, where the platform can fork and the
+    process may run on two CPUs or more, and otherwise in-process at the
+    heat stage. A process, not a thread, because SuperLU's solve holds the
+    GIL. Either way the heat stage writes its files and prints its lines
+    where it always has, so every output is the same, and no child
+    outlives the call.
+    """
     polygon = isinstance(r.spec, Polygon)
-    ms, carleman_ok = _moments_stage(r)
-    summary = {"moments": {"A_1": ms.A[1], "carleman_ok": carleman_ok}}
-    inverted = _invert_stage(r, ms)
-    if inverted is None:
-        summary["invert"] = {"status": "psd check failed"}
-        r.write_json("summary.json", summary)
-        return 2
-    am, inv_sd = inverted
-    summary["invert"] = {"p_effective": am.diagnostics["p_effective"],
-                         "lambda_1": 2.0 / am.atoms[0][0],
-                         "vp_1": am.atoms[0][1]}
+    assemble_half_laplacian(r.grid)  # built once, before the fork
+    with _beside(_heat_curve, r) as heat_curve:
+        ms, carleman_ok = _moments_stage(r)
+        summary = {"moments": {"A_1": ms.A[1], "carleman_ok": carleman_ok}}
+        inverted = _invert_stage(r, ms)
+        if inverted is None:
+            summary["invert"] = {"status": "psd check failed"}
+            r.write_json("summary.json", summary)
+            return 2
+        am, inv_sd = inverted
+        summary["invert"] = {"p_effective": am.diagnostics["p_effective"],
+                             "lambda_1": 2.0 / am.atoms[0][0],
+                             "vp_1": am.atoms[0][1]}
 
-    # the reference spectrum: numeric on the run's grid for polygons,
-    # analytic with at least 16 clusters otherwise
-    m = r.cfg["spectrum.m"]
-    ref = _spectrum_stage(r, m if polygon else max(m, 16), numeric=polygon)
-    cmp_report = compare_spectra(inv_sd, ref, r.cfg["compare.tol"])
-    r.write_json("compare.json", cmp_report)
-    n_match = len(cmp_report["matched"])
-    # the gate is on matched clusters only: the deepest atoms of a
-    # truncated measure absorb the spectral tail and are not eigenvalue
-    # claims, so going unmatched there is expected, not a failure
-    spectra_ok = (n_match >= 1 and
-                  cmp_report["max_rel_dev_lambda"] <= r.cfg["compare.tol"])
-    summary["compare"] = {
-        "matched": n_match,
-        "unmatched_atoms": cmp_report["unmatched_a"],
-        "max_rel_dev_lambda": cmp_report["max_rel_dev_lambda"],
-        "matched_ok": spectra_ok,
-    }
-    tail = (f", {cmp_report['unmatched_a']} tail atoms unmatched"
-            if cmp_report["unmatched_a"] else "")
-    print(f"compare: {n_match} atoms matched reference clusters{tail}")
+        # the reference spectrum: numeric on the run's grid for polygons,
+        # analytic with at least 16 clusters otherwise
+        m = r.cfg["spectrum.m"]
+        ref = _spectrum_stage(r, m if polygon else max(m, 16),
+                              numeric=polygon)
+        cmp_report = compare_spectra(inv_sd, ref, r.cfg["compare.tol"])
+        r.write_json("compare.json", cmp_report)
+        n_match = len(cmp_report["matched"])
+        # the gate is on matched clusters only: the deepest atoms of a
+        # truncated measure absorb the spectral tail and are not eigenvalue
+        # claims, so going unmatched there is expected, not a failure
+        spectra_ok = (n_match >= 1 and
+                      cmp_report["max_rel_dev_lambda"] <= r.cfg["compare.tol"])
+        summary["compare"] = {
+            "matched": n_match,
+            "unmatched_atoms": cmp_report["unmatched_a"],
+            "max_rel_dev_lambda": cmp_report["max_rel_dev_lambda"],
+            "matched_ok": spectra_ok,
+        }
+        tail = (f", {cmp_report['unmatched_a']} tail atoms unmatched"
+                if cmp_report["unmatched_a"] else "")
+        print(f"compare: {n_match} atoms matched reference clusters{tail}")
 
-    curve = _heat_stage(r)
+        curve = _heat_stage(r, heat_curve())
     times = curve.times
     recon = reconstruct_heat_content(am, times)
     recon.to_csv(r.path("heat_reconstructed.csv"))

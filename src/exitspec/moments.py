@@ -131,15 +131,13 @@ def carleman_diagnostic(ms: MomentSequence, eps_tol: float = 1e-9):
     (the true sequence satisfies mu_n <= (2/lambda1)^n A_0).
     """
     ms.validate()
+    ms._require("mu")
     if ms.lambda1 is None or ms.lambda1 <= 0:
         raise ValueError("carleman_diagnostic needs a positive lambda1 estimate")
     margins = []
     n = 1
     while 2 * n <= ms.n_max:
-        mu2n = ms.mu[2 * n]
-        if mu2n <= 0:
-            raise ValueError(f"mu_{2*n} = {mu2n} is not positive")
-        lhs = mu2n ** (-1.0 / (2 * n))
+        lhs = ms.mu[2 * n] ** (-1.0 / (2 * n))
         rhs = (ms.lambda1 / 2.0) * ms.A[0] ** (-1.0 / (2 * n))
         margins.append(lhs / rhs - 1.0)
         n += 1

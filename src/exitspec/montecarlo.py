@@ -22,8 +22,9 @@ call, at most one per chunk. Worker threads would wait on one another
 (about 18 % of their time on 2 cores): np.cumsum, the walk's running sum,
 holds the GIL for its whole call. The workers fork rather than spawn,
 because a spawned worker re-imports numpy and this package, about 0.2 s,
-more than a small run takes. Where the platform has no fork, the chunks run
-in-process, with the same bits. In a caller that runs threads of its own,
+more than a small run takes. Where the platform has no fork, or the process
+may run on one CPU only, the chunks run in-process, with the same bits
+(_fork_context decides). In a caller that runs threads of its own,
 a fork can deadlock on a lock another thread held at that moment, and
 Python >= 3.12 warns on such a fork.
 
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections import Counter
 
 import numpy as np
@@ -52,6 +54,19 @@ PASS_NORMALS = 2 ** 19  # normals per group of a pass (paths x steps x dim)
 
 class McError(RuntimeError):
     pass
+
+
+def _fork_context():
+    """multiprocessing's fork context, or None where a forked process
+    cannot help: the platform has no fork, or this process may run on one
+    CPU only. multiprocessing is imported here, on first use, so that
+    importing the package does not load it."""
+    import multiprocessing
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2:
+        return None
+    return multiprocessing.get_context("fork")
 
 
 class SimConfig:
@@ -260,23 +275,21 @@ def simulate_exit_times(cfg: SimConfig, workers: int = 1,
     Chunks of chunk_paths paths run in-process when workers is 1 or there
     is one chunk, and otherwise on min(workers, chunks) processes forked for
     this call, which see the module's state as it is at the call. Where the
-    platform cannot fork, they run in-process. Processes, not threads,
-    because np.cumsum in the walk holds the GIL; Python >= 3.12 warns when
-    a caller that runs threads of its own forks. An error in a chunk
-    cancels the chunks not yet started and is raised here.
+    platform cannot fork, or the process may run on one CPU only, they run
+    in-process. Processes, not threads, because np.cumsum in the walk holds
+    the GIL; Python >= 3.12 warns when a caller that runs threads of its
+    own forks. An error in a chunk cancels the chunks not yet started and
+    is raised here.
     """
     if workers < 1 or block_steps < 1 or chunk_paths < 1:
         raise ValueError("workers, block_steps and chunk_paths must be positive")
     spans = [(lo, min(lo + chunk_paths, cfg.paths))
              for lo in range(0, cfg.paths, chunk_paths)]
     procs = min(workers, len(spans))
-    if procs > 1:
-        import multiprocessing
-        if "fork" not in multiprocessing.get_all_start_methods():
-            procs = 1
-    if procs > 1:
+    ctx = _fork_context() if procs > 1 else None
+    if ctx is not None:
         from concurrent.futures import ProcessPoolExecutor
-        ex = ProcessPoolExecutor(procs, multiprocessing.get_context("fork"))
+        ex = ProcessPoolExecutor(procs, ctx)
         try:
             futs = [ex.submit(_run_chunk, cfg, lo, hi, block_steps)
                     for lo, hi in spans]

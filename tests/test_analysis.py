@@ -42,6 +42,13 @@ class TestZeta:
 
 
 class TestHeatContent:
+    @pytest.mark.parametrize("times", [[math.nan, 1.0], [0.5, math.nan],
+                                       [0.5, math.inf]])
+    def test_curve_rejects_non_finite_times(self, times):
+        """A NaN time fails both ordering tests, so it is caught apart."""
+        with pytest.raises(ValueError, match="times must be finite"):
+            es.HeatContentCurve(times, [1.0, 0.5], "timestep")
+
     def test_spectral_sum_matches_series(self, interval_sd):
         # direct series for q(t) = sum a^2 exp(-lam t / 2)
         for t in (0.05, 0.2, 1.0):

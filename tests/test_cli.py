@@ -1,6 +1,12 @@
 import filecmp
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +14,7 @@ import scipy.sparse.linalg as splinalg
 from hypothesis import given, settings, strategies as st
 
 import exitspec as es
+import exitspec.cli as cli
 from exitspec.cli import (
     ConfigError, SCHEMA, compare_spectra, default_config, emit_config,
     main, parse_config,
@@ -49,9 +56,34 @@ L_SHAPE = {
     "heat.t_max": "0.2",
 }
 
+C8_SQUARE = es.perturb_polygon(es.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)]),
+                               [-1.0, 0.6, 1.0, -0.2], 0.07)
+
 
 def config_text(keys):
     return "".join(f"{k} = {v}\n" for k, v in keys.items())
+
+
+def splu_log(monkeypatch, path):
+    """Spy on splinalg.splu here and in every process forked from here
+    (the heat stage of `all` factors on one): each call appends a line to
+    path. Returns a function that reads the calls back as (diagonal of A,
+    args, kwargs)."""
+    splu = splinalg.splu
+
+    def spy(A, *args, **kwargs):
+        with open(path, "a") as fh:
+            fh.write(json.dumps([A.diagonal().tolist(), args, kwargs]) + "\n")
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(splinalg, "splu", spy)
+
+    def calls():
+        lines = path.read_text().splitlines() if path.exists() else []
+        return [(np.array(d), tuple(args), kwargs)
+                for d, args, kwargs in map(json.loads, lines)]
+
+    return calls
 
 
 FAST_MOMENTS = """\
@@ -268,40 +300,23 @@ class TestPipelines:
     def test_all_shares_one_operator(self, tmp_path, monkeypatch):
         """On a polygon, `all` factors the grid's operator once per shift:
         0 for the moments and the eigensolve, 2/dt for the heat steps."""
-        calls = []
-        splu = splinalg.splu
-
-        def counting_splu(A, *args, **kwargs):
-            calls.append(A.shape)
-            return splu(A, *args, **kwargs)
-
-        monkeypatch.setattr(splinalg, "splu", counting_splu)
+        calls = splu_log(monkeypatch, tmp_path / "splu.jsonl")
         rc = run(["--pipeline", "all"], tmp_path,
                  config_text=config_text(L_SHAPE))
         assert rc == 0
-        assert len(calls) == 2
+        assert len(calls()) == 2
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert "skipped" in summary["verify"]
         assert summary["compare"]["matched_ok"]
         g = es.build_grid(es.Rectangle(1, 1), 1 / 8)
         assert es.assemble_half_laplacian(g) is es.assemble_half_laplacian(g)
 
-    @pytest.mark.parametrize("spec", [
-        es.Rectangle(1, 1),
-        es.perturb_polygon(es.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)]),
-                           [-1.0, 0.6, 1.0, -0.2], 0.07),
-    ], ids=["square", "c8-polygon"])
+    @pytest.mark.parametrize("spec", [es.Rectangle(1, 1), C8_SQUARE],
+                             ids=["square", "c8-polygon"])
     def test_all_factors_once_per_shift(self, tmp_path, monkeypatch, spec):
         """`all` takes exactly two sparse LUs, of S at shift 0 and at
         2/dt, each with the MMD ordering of A^T + A and small supernodes."""
-        calls = []
-        splu = splinalg.splu
-
-        def spy(A, *args, **kwargs):
-            calls.append((A.diagonal(), args, kwargs))
-            return splu(A, *args, **kwargs)
-
-        monkeypatch.setattr(splinalg, "splu", spy)
+        calls = splu_log(monkeypatch, tmp_path / "splu.jsonl")
         h, dt = 1 / 32, 2.5e-3
         if isinstance(spec, es.Rectangle):
             domain = {"domain.type": "rectangle", "domain.lx": "1",
@@ -315,9 +330,9 @@ class TestPipelines:
         assert run(["--pipeline", "all"], tmp_path,
                    config_text=config_text(keys)) == 0
         diag = es.assemble_half_laplacian(es.build_grid(spec, h)).sym.diagonal()
-        shifts = sorted(float(np.max(d - diag)) for d, _, _ in calls)
+        shifts = sorted(float(np.max(d - diag)) for d, _, _ in calls())
         assert shifts == pytest.approx([0.0, 2.0 / dt], rel=1e-12, abs=0.0)
-        for _, args, kwargs in calls:
+        for _, args, kwargs in calls():
             assert args == ()
             assert kwargs == {"permc_spec": "MMD_AT_PLUS_A", "relax": 1,
                               "panel_size": 1}
@@ -374,6 +389,126 @@ class TestPipelines:
         assert rc == 0
         out = capsys.readouterr().out
         assert parse_config(out) == default_config()
+
+
+def two_cpus(monkeypatch):
+    """Let `all` fork its heat stage even where this process is pinned to
+    one CPU."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+
+
+SQUARE_32 = {"grid.h": "0.03125", "spectrum.m": "6", "heat.t_min": "0.01",
+             "heat.t_max": "1", "heat.dt": "0.0025"}
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the platform cannot fork")
+class TestAllForked:
+    """`all` computes its heat curve on a forked child beside the moment ->
+    spectrum chain. With the fork check patched, the same run computes it
+    in-process; nothing a run writes or prints may differ."""
+
+    @staticmethod
+    def run_side(tmp_path, monkeypatch, keys, forked):
+        """Runs `all` on keys; returns its status, its output directory and
+        the pids that ran heat_content_timestep."""
+        side = tmp_path / ("forked" if forked else "in-process")
+        side.mkdir()
+        heat_pids = side / "heat-pids"
+        timestep = cli.heat_content_timestep
+
+        def spy(*args):  # a closure, as perfbench's tracer installs
+            with open(heat_pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return timestep(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "heat_content_timestep", spy)
+            if forked:
+                two_cpus(m)
+            else:
+                m.setattr(multiprocessing, "get_all_start_methods",
+                          lambda: ["spawn"])
+            rc = run(["--pipeline", "all"], side, config_text(keys))
+        pids = heat_pids.read_text().split() if heat_pids.exists() else []
+        return rc, side / "out", [int(p) for p in pids]
+
+    @pytest.mark.parametrize("keys, rc, message", [
+        ({"domain.type": "rectangle", **SQUARE_32}, 0, None),
+        ({"domain.type": "polygon", "domain.vertices": "; ".join(
+            f"{x!r},{y!r}" for x, y in C8_SQUARE.vertices), **SQUARE_32},
+         0, None),
+        (ALL_INTERVAL, 0, None),
+        ({**ALL_INTERVAL, "domain.type": "disk", "grid.h": "0.015625"},
+         0, None),
+        # heat_content_timestep raises on the child; the parent reports it
+        ({**ALL_INTERVAL, "heat.dt": "-1e-3"}, 2,
+         "dt must be positive and finite, got -0.001"),
+    ], ids=["square", "c8-polygon", "interval", "disk", "heat-error"])
+    def test_forked_heat_stage_changes_no_output(self, tmp_path, monkeypatch,
+                                                 capfd, keys, rc, message):
+        rc_f, out_f, pids_f = self.run_side(tmp_path, monkeypatch, keys, True)
+        std_f = capfd.readouterr()
+        rc_i, out_i, pids_i = self.run_side(tmp_path, monkeypatch, keys, False)
+        std_i = capfd.readouterr()
+        assert len(pids_f) == 1 and pids_f[0] != os.getpid()
+        assert pids_i == [os.getpid()]
+        assert rc_f == rc_i == rc
+        assert std_f == std_i
+        if message is not None:
+            assert f"error: {message}" in std_f.err
+        names = sorted(p.name for p in out_i.iterdir())
+        assert sorted(p.name for p in out_f.iterdir()) == names
+        assert filecmp.cmpfiles(out_f, out_i, names, shallow=False)[0] == names
+
+    @pytest.mark.parametrize("case", ["returns", "psd-fails",
+                                      "moments-raise"])
+    def test_no_child_outlives_the_run(self, tmp_path, monkeypatch, case):
+        """The child is ended and joined on every way out of `all`: after
+        the heat stage, at the PSD failure's early return, and when a
+        stage before the heat stage raises, while the child still runs."""
+        two_cpus(monkeypatch)
+        assert cli._fork_context() is not None
+        keys = dict(ALL_INTERVAL)
+        if case != "returns":
+            monkeypatch.setattr(cli, "heat_content_timestep",
+                                lambda *args: time.sleep(60))
+        if case == "psd-fails":
+            monkeypatch.setattr(cli, "hankel_psd_check", lambda ms, p: {
+                "pass": False, "H0_min_eig": -1.0, "H1_min_eig": -1.0})
+        elif case == "moments-raise":
+            keys["moments.n_max"] = "0"
+        t = time.perf_counter()
+        rc = run(["--pipeline", "all"], tmp_path, config_text(keys))
+        assert time.perf_counter() - t < 30
+        assert rc == (0 if case == "returns" else 2)
+        assert multiprocessing.active_children() == []
+
+    def test_stage_lines_print_once_to_a_file(self, tmp_path):
+        """With stdout a file, a line still in its buffer at the fork is
+        not printed again by the child, and the child adds none."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config_text(ALL_INTERVAL))
+        script = ("import os, sys\n"
+                  "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                  "from exitspec.cli import main\n"
+                  "print('before the run')\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        path = [str(Path(es.__file__).parents[1]),
+                os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        log = tmp_path / "stdout.txt"
+        with open(log, "w") as fh:
+            proc = subprocess.run(
+                [sys.executable, "-c", script, "--config", str(cfg),
+                 "--pipeline", "all", "--out", str(tmp_path / "out")],
+                stdout=fh, stderr=subprocess.PIPE, text=True, env=env,
+                timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        heads = [line.split(":")[0] for line in log.read_text().splitlines()]
+        assert heads == ["before the run", "moments", "invert", "spectrum",
+                         "compare", "heat", "heat", "verify"]
 
 
 class TestRerun:

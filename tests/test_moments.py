@@ -404,6 +404,15 @@ def test_carleman_diagnostic():
         es.carleman_diagnostic(bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_carleman_diagnostic_checks_mu(bad):
+    """A mutated mu list is named, not read into a NaN or -1 margin."""
+    ms = es.analytic_moments(es.Interval(0, 1), 8)
+    ms.mu[4] = bad
+    with pytest.raises(ValueError, match="mu_4 = "):
+        es.carleman_diagnostic(ms)
+
+
 def test_log_convexity_of_normalized_moments():
     # Stieltjes moment sequences are log-convex: mu_n^2 <= mu_{n-1} mu_{n+1}
     for spec in (es.Interval(0, 1), es.Rectangle(1, 2), es.Disk(1.0)):

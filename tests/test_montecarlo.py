@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -97,6 +98,22 @@ class TestDeterminism:
 
         monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                             lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        cfg, base = mc_interval_small
+        again = es.simulate_exit_times(cfg, workers=2, chunk_paths=64)
+        assert np.array_equal(base.taus, again.taus)
+
+    def test_on_one_cpu_chunks_run_in_process(self, monkeypatch,
+                                              mc_interval_small):
+        """Where the process may run on one CPU only, workers > 1 opens no
+        pool either, and gives the same bits."""
+        import multiprocessing
+
+        def no_pool(method):
+            raise AssertionError(f"asked for a {method} context")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
         monkeypatch.setattr(multiprocessing, "get_context", no_pool)
         cfg, base = mc_interval_small
         again = es.simulate_exit_times(cfg, workers=2, chunk_paths=64)
