@@ -160,6 +160,8 @@ def heat_content_timestep(grid: Grid, times, dt: float) -> HeatContentCurve:
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     times = np.sort(np.asarray(times, dtype=float))
+    if times.size == 0:
+        raise ValueError("times must not be empty")
     if not np.isfinite(times).all() or times[0] <= 0:
         raise ValueError("times must be positive and finite")
     # step times in the float accumulation of a step-by-step run: ts[0] = 0

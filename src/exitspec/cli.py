@@ -295,6 +295,8 @@ def _heat_curve(r: Runner):
     t_min, t_max = r.cfg["heat.t_min"], r.cfg["heat.t_max"]
     if t_min <= 0 or t_max <= t_min:
         raise ConfigError("need 0 < heat.t_min < heat.t_max")
+    if r.cfg["heat.samples"] < 1:
+        raise ConfigError("heat.samples must be >= 1")
     times = np.geomspace(t_min, t_max, r.cfg["heat.samples"])
     dt = r.cfg["heat.dt"] or t_min / 16.0
     return heat_content_timestep(r.grid, times, dt)

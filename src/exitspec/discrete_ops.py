@@ -6,12 +6,9 @@ that turns a Jacobi matrix into its Gauss rule (the moment inversion uses
 it too).
 
 One exact-sum kernel, exact_sum, serves every sum over a grid- or
-series-sized array: quadrature here, heat sums in analysis, the closed-form
-series in moments and the grid volume in spectral. It returns math.fsum's
-correctly rounded float, bit for bit. Terms far enough below the largest are
-set aside under a bound that certifies the rounded result, so a series
-costs only its significant terms; when the bound cannot decide the rounding,
-every term is summed.
+series-sized array: quadrature here, the heat curve's q_0 in analysis, the
+closed-form series in moments and the grid volume in spectral. It returns
+math.fsum's correctly rounded float, bit for bit.
 
 Everything is built around a symmetrized representation. With W the diagonal
 of quadrature weights and M the operator in node space, the matrix
@@ -267,7 +264,6 @@ def _golub_welsch(alpha, beta):
 
 
 EXACT_SUM_SLICE = 1 << 26  # terms per bincount; keeps every bucket sum exact
-EXACT_SUM_GUARD = 8  # binades between the largest term's last bit and the cut
 
 
 def _fixed_point(m, k, buckets):
@@ -305,19 +301,9 @@ def exact_sum(values) -> float:
     (hi 2^27 + lo) 2^(e - 53). One bincount per part adds them per exponent
     in float64, exactly while a slice holds at most 2^26 terms; the buckets
     then fold into one Python int, which is rounded once (Demmel & Hida 2003,
-    Accurate and efficient floating point summation).
-
-    Terms below 2^cut in magnitude, cut = e_max - 53 - EXACT_SUM_GUARD -
-    bitlen(n) with e_max the largest term's exponent, are set aside before
-    the split. Their sum is below B = n_dropped 2^cut in magnitude, so when
-    T - B and T + B, T the exact sum of the kept terms, have one sign and
-    round to one float, the whole sum rounds to it too, because rounding is
-    monotone (Ziv 1991). Otherwise every term is summed. A series whose
-    terms fall over many binades costs only its significant terms; an array
-    whose range reaches no term below the cut is summed whole at once.
-    Non-finite terms, and magnitudes where fsum could overflow midway, go to
-    math.fsum itself, so NaN, inf, ValueError and OverflowError behave as
-    there.
+    Accurate and efficient floating point summation). Non-finite terms, and
+    magnitudes where fsum could overflow midway, go to math.fsum itself, so
+    NaN, inf, ValueError and OverflowError behave as there.
     """
     x = np.asarray(values, dtype=float).ravel()
     if x.size == 0:
@@ -325,22 +311,8 @@ def exact_sum(values) -> float:
     top, bottom = float(x.max()), float(x.min())    # NaN propagates
     if not (math.isfinite(top) and math.isfinite(bottom)):
         return math.fsum(x)
-    e_max, nbits = math.frexp(max(top, -bottom))[1], x.size.bit_length()
-    if e_max + nbits > 1022:
+    if math.frexp(max(top, -bottom))[1] + x.size.bit_length() > 1022:
         return math.fsum(x)
-    cut = e_max - 53 - EXACT_SUM_GUARD - nbits
-    small = math.ldexp(1.0, cut)   # a nonzero term is below it iff e <= cut
-    if bottom < small and top > -small:
-        keep = np.flatnonzero((x >= small) | (x <= -small))
-        if keep.size < x.size:
-            m, e = np.frexp(x[keep])
-            # kept terms in units of 2^(cut - 52), where B is n_dropped 2^52
-            total = _fixed_point(m, e - (cut + 1), e_max - cut)
-            bound = (x.size - keep.size) << 52
-            lo, hi = total - bound, total + bound
-            if ((lo > 0 or hi < 0)
-                    and _round(lo, cut + 1) == _round(hi, cut + 1)):
-                return _round(lo, cut + 1)
     m, e = np.frexp(x)
     e0 = int(e.min())
     return _round(_fixed_point(m, e - e0, int(e.max()) - e0 + 1), e0)

@@ -118,6 +118,15 @@ class TestHeatContent:
         with pytest.raises(ValueError, match="finite"):
             es.heat_content_timestep(g, [0.1, bad], dt=1e-3)
 
+    def test_timestep_rejects_empty_times(self):
+        g = es.build_grid(es.Rectangle(1, 1), 1 / 16)
+        with pytest.raises(ValueError, match="times must not be empty"):
+            es.heat_content_timestep(g, [], dt=1e-3)
+        # a curve may still be empty: restrict returns one for a window
+        # that holds no sample
+        window = es.HeatContentCurve([0.1], [0.5], "timestep").restrict(1, 2)
+        assert len(window) == 0
+
     def test_timestep_monotone_decay(self):
         g = es.build_grid(es.Rectangle(1, 1), 1 / 32)
         times = np.linspace(0.02, 0.4, 12)

@@ -208,6 +208,17 @@ class TestPipelines:
         fitfile = out / "fit.csv"
         assert fitfile.exists()
 
+    def test_heat_pipeline_without_samples(self, tmp_path, capsys):
+        rc = run(["--pipeline", "heat"], tmp_path, config_text=(
+            "domain.type = interval\n"
+            "grid.h = 0.015625\n"
+            "heat.samples = 0\n"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: heat.samples must be >= 1"]
+        man = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert man["pipeline"] == "heat"
+
     def test_mc_pipeline_seed_override(self, tmp_path):
         cfg_text = ("domain.type = interval\n"
                     "mc.paths = 300\n"
@@ -461,6 +472,29 @@ class TestAllForked:
         names = sorted(p.name for p in out_i.iterdir())
         assert sorted(p.name for p in out_f.iterdir()) == names
         assert filecmp.cmpfiles(out_f, out_i, names, shallow=False)[0] == names
+
+    def test_no_heat_samples_is_reported_from_the_child(self, tmp_path,
+                                                        monkeypatch, capfd):
+        """heat.samples = 0 raises ConfigError on the forked child; the
+        parent prints it as one error line and still writes the manifest."""
+        two_cpus(monkeypatch)
+        pids = tmp_path / "heat-pids"
+        heat_curve = cli._heat_curve
+
+        def spy(r):
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return heat_curve(r)
+
+        monkeypatch.setattr(cli, "_heat_curve", spy)
+        rc = run(["--pipeline", "all"], tmp_path,
+                 config_text({**ALL_INTERVAL, "heat.samples": "0"}))
+        err = capfd.readouterr().err
+        assert rc == 2
+        assert [int(p) for p in pids.read_text().split()] != [os.getpid()]
+        assert err.splitlines() == ["error: heat.samples must be >= 1"]
+        man = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert man["pipeline"] == "all"
 
     @pytest.mark.parametrize("case", ["returns", "psd-fails",
                                       "moments-raise"])
