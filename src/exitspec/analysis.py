@@ -117,10 +117,8 @@ def heat_content_spectral(sd: SpectralData, times) -> HeatContentCurve:
     The truncation tail is bounded by the unassigned volume (each dropped
     mode contributes at most its weight) and reported on the curve.
     """
-    times = np.asarray(times, dtype=float)
-    lam = np.array([e[0] for e in sd.entries])
-    a2 = np.array([e[2] for e in sd.entries])
-    q = np.array([math.fsum(a2 * np.exp(-lam * t / 2.0)) for t in times])
+    q = [math.fsum(a2 * math.exp(-lam * t / 2.0) for lam, _, a2 in sd.entries)
+         for t in np.asarray(times, dtype=float).tolist()]
     return HeatContentCurve(times, q, "spectral_sum",
                             tail_bound=_unassigned_volume(sd))
 

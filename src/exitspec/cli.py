@@ -290,16 +290,19 @@ def _spectrum_stage(r: Runner, m, numeric):
     return sd
 
 
-def _heat_curve(r: Runner):
-    """Time-stepped heat content on the run's grid; writes nothing."""
-    t_min, t_max = r.cfg["heat.t_min"], r.cfg["heat.t_max"]
-    if t_min <= 0 or t_max <= t_min:
-        raise ConfigError("need 0 < heat.t_min < heat.t_max")
-    if r.cfg["heat.samples"] < 1:
+def _heat_times(cfg):
+    """Sample times and step of the time-stepped heat curve; raises
+    ConfigError on heat settings it cannot run with."""
+    t_min, t_max = cfg["heat.t_min"], cfg["heat.t_max"]
+    if not 0 < t_min < t_max < math.inf:
+        raise ConfigError("need 0 < heat.t_min < heat.t_max < inf")
+    if cfg["heat.samples"] < 1:
         raise ConfigError("heat.samples must be >= 1")
-    times = np.geomspace(t_min, t_max, r.cfg["heat.samples"])
-    dt = r.cfg["heat.dt"] or t_min / 16.0
-    return heat_content_timestep(r.grid, times, dt)
+    if not 0 <= cfg["heat.dt"] < math.inf:
+        raise ConfigError("heat.dt must be finite and >= 0 "
+                          "(0 takes heat.t_min / 16)")
+    return (np.geomspace(t_min, t_max, cfg["heat.samples"]),
+            cfg["heat.dt"] or t_min / 16.0)
 
 
 def _heat_stage(r: Runner, curve):
@@ -365,7 +368,7 @@ def run_invert(r: Runner):
 
 
 def run_heat(r: Runner):
-    _heat_stage(r, _heat_curve(r))
+    _heat_stage(r, heat_content_timestep(r.grid, *_heat_times(r.cfg)))
     return 0
 
 
@@ -556,9 +559,10 @@ def run_all(r: Runner):
     where it always has, so every output is the same, and no child
     outlives the call.
     """
+    times_dt = _heat_times(r.cfg)  # a bad heat config stops the run here
     polygon = isinstance(r.spec, Polygon)
     assemble_half_laplacian(r.grid)  # built once, before the fork
-    with _beside(_heat_curve, r) as heat_curve:
+    with _beside(heat_content_timestep, r.grid, *times_dt) as heat_curve:
         ms, carleman_ok = _moments_stage(r)
         summary = {"moments": {"A_1": ms.A[1], "carleman_ok": carleman_ok}}
         inverted = _invert_stage(r, ms)

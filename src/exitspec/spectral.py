@@ -94,67 +94,64 @@ def _cluster(values, rel_tol):
 def analytic_spectrum(spec: DomainSpec, m: int) -> SpectralData:
     """First m eigenvalue clusters with exact weights, separable domains only.
 
-    Interval: lambda_k = (k pi / L)^2 with a^2 = 8L/(k pi)^2 for odd k, zero
-    for even. Rectangle: tensor modes, a^2 the product of the 1D factors
-    (nonzero only when both indices are odd). Disk: all angular orders are
-    listed, but only the radial (order zero) clusters carry weight,
-    a_n^2 = 4 pi R^2 / j_{0,n}^2.
+    Interval and rectangle: tensor modes over the d sides L, lambda =
+    pi^2 sum k^2/L^2, a^2 = 8^d prod L / (prod k^2 pi^2d) if every k is odd,
+    else 0. Disk: modes of order nu > 0 are double and carry no weight, the
+    radial ones a_n^2 = 4 pi R^2 / j_{0,n}^2.
+
+    The table lists every mode below a cap, which starts at the first
+    eigenvalue (the disk's at pi^2/R^2, above it) and doubles until more
+    than m clusters lie below it. An unlisted mode lies above the cap, so
+    above the spare (m+1)-th cluster: the first m are complete, and the
+    same wherever the cap stopped. Below the cap k <= L sqrt(cap)/pi; a
+    zero j_{nu,k} <= R sqrt(cap) has nu < j_{nu,1}, (k - 1/4) pi < j_{0,k}
+    <= j_{nu,k} and, zeros of order over 1/2 being more than pi apart,
+    j_{nu,k} > nu + (k - 1) pi for nu >= 1.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if isinstance(spec, Interval):
-        L = spec.b - spec.a
-        entries = []
-        for k in range(1, m + 1):
-            lam = (k * math.pi / L) ** 2
-            a2 = 8.0 * L / (k * math.pi) ** 2 if k % 2 == 1 else 0.0
-            entries.append((lam, 1, a2))
-        return SpectralData(entries, "analytic", volume=spec.volume())
+    if isinstance(spec, (Interval, Rectangle)):
+        sides = ((spec.b - spec.a,) if isinstance(spec, Interval)
+                 else (spec.Lx, spec.Ly))
+        d = len(sides)
 
-    if isinstance(spec, Rectangle):
-        # enough tensor modes to cover the first m clusters
-        K = int(math.isqrt(8 * m) + 4)
-        modes = []
-        for i in range(1, K + 1):
-            for j in range(1, K + 1):
-                lam = math.pi ** 2 * (i * i / spec.Lx ** 2 + j * j / spec.Ly ** 2)
-                odd = (i % 2 == 1) and (j % 2 == 1)
-                a2 = (64.0 * spec.Lx * spec.Ly
-                      / (i * i * j * j * math.pi ** 4)) if odd else 0.0
-                modes.append((lam, a2))
-        modes.sort(key=lambda t: t[0])
-        lams = [t[0] for t in modes]
-        entries = []
-        for grp in _cluster(lams, 1e-12):
-            lam = lams[grp[0]]
-            a2 = math.fsum(modes[i][1] for i in grp)
-            entries.append((lam, len(grp), a2))
-            if len(entries) == m:
-                break
-        if len(entries) < m:
-            raise ValueError(f"internal mode table too small for m={m}")
-        return SpectralData(entries, "analytic", volume=spec.volume())
+        def modes(cap):
+            k = 1 + np.indices([int(L * math.sqrt(cap) / math.pi) + 1
+                                for L in sides]).reshape(d, -1)
+            a2 = 8.0 ** d * math.prod(sides) / (
+                np.prod(k * k, 0) * math.pi ** (2 * d))
+            return (math.pi ** 2 * (k * k / np.square(sides)[:, None]).sum(0),
+                    np.ones(len(a2), int), np.where((k % 2).all(0), a2, 0.0))
 
-    if isinstance(spec, Disk):
-        import scipy.special as special
-        # Bessel zeros j_{nu,k}; order-0 modes are simple, others double.
-        # The first m clusters need zeros only up to roughly sqrt(8 m).
-        nu_max = int(math.sqrt(8.0 * m)) + 4
-        per = max(int(math.sqrt(8.0 * m) / math.pi) + 4, 3)
-        modes = []
-        for nu in range(nu_max + 1):
-            for z in special.jn_zeros(nu, per):
-                lam = (z / spec.R) ** 2
-                mult = 1 if nu == 0 else 2
-                a2 = 4.0 * math.pi * spec.R ** 2 / z ** 2 if nu == 0 else 0.0
-                modes.append((lam, mult, a2))
-        modes.sort(key=lambda t: t[0])
-        entries = [(lam, mult, a2) for lam, mult, a2 in modes[:m]]
-        if len(entries) < m:
-            raise ValueError(f"internal zero table too small for m={m}")
-        return SpectralData(entries, "analytic", volume=spec.volume())
+        cap = math.pi ** 2 * sum(L ** -2 for L in sides)
+    elif isinstance(spec, Disk):
+        from scipy.special import jn_zeros
 
-    raise ValueError(f"no closed-form spectrum for {spec!r}")
+        def modes(cap):
+            x = spec.R * math.sqrt(cap)
+            per = [int(min(x / math.pi + 0.25, (x - nu) / math.pi + 1))
+                   for nu in range(int(x) + 1)]
+            z = np.concatenate([jn_zeros(nu, n) for nu, n in enumerate(per)])
+            radial = np.arange(z.size) < per[0]
+            return ((z / spec.R) ** 2, np.where(radial, 1, 2),
+                    np.where(radial, 4 * math.pi * spec.R ** 2 / z ** 2, 0.0))
+
+        cap = (math.pi / spec.R) ** 2
+    else:
+        raise ValueError(f"no closed-form spectrum for {spec!r}")
+    while True:
+        lam, mult, a2 = modes(cap)
+        keep = np.flatnonzero(lam <= cap)
+        keep = keep[np.argsort(lam[keep], kind="stable")]
+        lam, mult, a2 = (v[keep].tolist() for v in (lam, mult, a2))
+        groups = _cluster(lam, 1e-12)
+        if len(groups) > m:
+            break
+        cap *= 2.0
+    # a cluster is a run of consecutive modes
+    entries = [(lam[g[0]], sum(mult[g[0]:g[-1] + 1]),
+                math.fsum(a2[g[0]:g[-1] + 1])) for g in groups[:m]]
+    return SpectralData(entries, "analytic", volume=spec.volume())
 
 
 def numeric_spectrum(grid: Grid, m: int, tol: float = 1e-8) -> SpectralData:

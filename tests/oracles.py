@@ -6,6 +6,7 @@ and code paths inside the package so that agreement is evidence rather
 than tautology.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -90,6 +91,35 @@ def rectangle_exact_moment1(lx, ly, terms=4000):
     s = math.fsum(math.tanh((2 * n + 1) * math.pi / lx * ly / 2.0)
                   / (2 * n + 1) ** 5 for n in range(terms))
     return total - 32.0 * lx ** 4 / math.pi ** 5 * s
+
+
+def box_clusters(sides, K=400):
+    """Eigenvalue clusters (lambda, multiplicity, a2) of the Dirichlet
+    Laplacian on a box with integer sides, in increasing order, from every
+    index vector in 1..K per axis.
+
+    lambda = pi^2 sum k_i^2 / L_i^2 = pi^2 key / prod L_i^2 with the integer
+    key = sum k_i^2 prod_{j != i} L_j^2, so a cluster is a set of exactly
+    equal keys. a2 = 8^d prod L / (pi^2d prod k_i^2) when every index is
+    odd, summed exactly per cluster. A mode outside the enumerated block has
+    some k_i > K, so its key is at least (K+1)^2 prod_{j != i} L_j^2; only
+    clusters below the least such bound are returned, and they are complete.
+    """
+    d, vol2 = len(sides), math.prod(sides) ** 2
+    others = [vol2 // (L * L) for L in sides]
+    bound = (K + 1) ** 2 * min(others)
+    clusters = {}
+    for ks in itertools.product(range(1, K + 1), repeat=d):
+        key = sum(k * k * o for k, o in zip(ks, others))
+        if key >= bound:
+            continue
+        count, weight = clusters.get(key, (0, Fraction(0)))
+        if all(k % 2 for k in ks):
+            weight += Fraction(1, math.prod(k * k for k in ks))
+        clusters[key] = (count + 1, weight)
+    scale = 8 ** d * math.prod(sides) / math.pi ** (2 * d)
+    return [(math.pi ** 2 * key / vol2, count, scale * float(weight))
+            for key, (count, weight) in sorted(clusters.items())]
 
 
 def disk_field_polys(n_max):

@@ -421,9 +421,10 @@ class TestAllForked:
     in-process; nothing a run writes or prints may differ."""
 
     @staticmethod
-    def run_side(tmp_path, monkeypatch, keys, forked):
+    def run_side(tmp_path, monkeypatch, keys, forked, fail=None):
         """Runs `all` on keys; returns its status, its output directory and
-        the pids that ran heat_content_timestep."""
+        the pids that ran heat_content_timestep, which raises fail if one
+        is given."""
         side = tmp_path / ("forked" if forked else "in-process")
         side.mkdir()
         heat_pids = side / "heat-pids"
@@ -432,6 +433,8 @@ class TestAllForked:
         def spy(*args):  # a closure, as perfbench's tracer installs
             with open(heat_pids, "a") as fh:
                 fh.write(f"{os.getpid()}\n")
+            if fail is not None:
+                raise fail
             return timestep(*args)
 
         with monkeypatch.context() as m:
@@ -445,56 +448,84 @@ class TestAllForked:
         pids = heat_pids.read_text().split() if heat_pids.exists() else []
         return rc, side / "out", [int(p) for p in pids]
 
-    @pytest.mark.parametrize("keys, rc, message", [
-        ({"domain.type": "rectangle", **SQUARE_32}, 0, None),
+    @pytest.mark.parametrize("keys, fail", [
+        ({"domain.type": "rectangle", **SQUARE_32}, None),
         ({"domain.type": "polygon", "domain.vertices": "; ".join(
             f"{x!r},{y!r}" for x, y in C8_SQUARE.vertices), **SQUARE_32},
-         0, None),
-        (ALL_INTERVAL, 0, None),
+         None),
+        (ALL_INTERVAL, None),
         ({**ALL_INTERVAL, "domain.type": "disk", "grid.h": "0.015625"},
-         0, None),
+         None),
         # heat_content_timestep raises on the child; the parent reports it
-        ({**ALL_INTERVAL, "heat.dt": "-1e-3"}, 2,
-         "dt must be positive and finite, got -0.001"),
+        (ALL_INTERVAL, es.SolverError("time stepper left [0, 1]")),
     ], ids=["square", "c8-polygon", "interval", "disk", "heat-error"])
     def test_forked_heat_stage_changes_no_output(self, tmp_path, monkeypatch,
-                                                 capfd, keys, rc, message):
-        rc_f, out_f, pids_f = self.run_side(tmp_path, monkeypatch, keys, True)
+                                                 capfd, keys, fail):
+        rc_f, out_f, pids_f = self.run_side(tmp_path, monkeypatch, keys, True,
+                                            fail)
         std_f = capfd.readouterr()
-        rc_i, out_i, pids_i = self.run_side(tmp_path, monkeypatch, keys, False)
+        rc_i, out_i, pids_i = self.run_side(tmp_path, monkeypatch, keys,
+                                            False, fail)
         std_i = capfd.readouterr()
         assert len(pids_f) == 1 and pids_f[0] != os.getpid()
         assert pids_i == [os.getpid()]
-        assert rc_f == rc_i == rc
+        assert rc_f == rc_i == (0 if fail is None else 2)
         assert std_f == std_i
-        if message is not None:
-            assert f"error: {message}" in std_f.err
+        if fail is not None:
+            assert f"error: {fail}" in std_f.err
         names = sorted(p.name for p in out_i.iterdir())
         assert sorted(p.name for p in out_f.iterdir()) == names
         assert filecmp.cmpfiles(out_f, out_i, names, shallow=False)[0] == names
 
-    def test_no_heat_samples_is_reported_from_the_child(self, tmp_path,
-                                                        monkeypatch, capfd):
-        """heat.samples = 0 raises ConfigError on the forked child; the
-        parent prints it as one error line and still writes the manifest."""
+    def test_heat_error_is_reported_from_the_child(self, tmp_path,
+                                                   monkeypatch, capfd):
+        """A library error raised on the forked child is printed by the
+        parent as one error line, and the manifest is still written."""
         two_cpus(monkeypatch)
         pids = tmp_path / "heat-pids"
-        heat_curve = cli._heat_curve
 
-        def spy(r):
+        def spy(*args):
             with open(pids, "a") as fh:
                 fh.write(f"{os.getpid()}\n")
-            return heat_curve(r)
+            raise es.SolverError("time stepper left [0, 1]")
 
-        monkeypatch.setattr(cli, "_heat_curve", spy)
-        rc = run(["--pipeline", "all"], tmp_path,
-                 config_text({**ALL_INTERVAL, "heat.samples": "0"}))
+        monkeypatch.setattr(cli, "heat_content_timestep", spy)
+        rc = run(["--pipeline", "all"], tmp_path, config_text(ALL_INTERVAL))
         err = capfd.readouterr().err
         assert rc == 2
         assert [int(p) for p in pids.read_text().split()] != [os.getpid()]
-        assert err.splitlines() == ["error: heat.samples must be >= 1"]
+        assert err.splitlines() == ["error: time stepper left [0, 1]"]
         man = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert man["pipeline"] == "all"
+
+    @pytest.mark.parametrize("pipeline", ["all", "heat"])
+    @pytest.mark.parametrize("changes, message", [
+        ({"heat.samples": "0"}, "heat.samples must be >= 1"),
+        ({"heat.t_min": "0.01", "heat.t_max": "0.001"},
+         "need 0 < heat.t_min < heat.t_max < inf"),
+        ({"heat.t_max": "inf"}, "need 0 < heat.t_min < heat.t_max < inf"),
+        ({"heat.dt": "-1e-3"},
+         "heat.dt must be finite and >= 0 (0 takes heat.t_min / 16)"),
+        ({"heat.dt": "nan"},
+         "heat.dt must be finite and >= 0 (0 takes heat.t_min / 16)"),
+    ], ids=["samples", "t_max", "t_max-inf", "dt", "dt-nan"])
+    def test_bad_heat_config_stops_the_run_first(self, tmp_path, monkeypatch,
+                                                 capfd, pipeline, changes,
+                                                 message):
+        """The heat settings are checked in this process before any stage
+        runs or a child is forked: no stage prints a line or writes a file,
+        and heat_content_timestep is never called."""
+        two_cpus(monkeypatch)
+        monkeypatch.setattr(cli, "heat_content_timestep", None)
+        rc = run(["--pipeline", pipeline], tmp_path,
+                 config_text({**ALL_INTERVAL, **changes}))
+        std = capfd.readouterr()
+        assert rc == 2
+        assert std.out == ""
+        assert std.err.splitlines() == [f"error: {message}"]
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.iterdir()) == ["config.txt",
+                                                         "manifest.json"]
 
     @pytest.mark.parametrize("case", ["returns", "psd-fails",
                                       "moments-raise"])

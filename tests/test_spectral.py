@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -60,6 +61,50 @@ class TestAnalytic:
             # the disk interleaves weightless angular clusters, so the
             # radial tail is only ~1/sqrt(m) deep at m clusters
             assert totals[2] > 0.92 * vol
+
+    @pytest.mark.parametrize("spec", [
+        es.Interval(0, 1), es.Rectangle(1, 1), es.Rectangle(1, 30),
+        es.Disk(1.0)], ids=["interval", "square", "1x30", "disk"])
+    def test_first_m_clusters_are_a_prefix(self, spec):
+        """The first m clusters do not depend on m: how far the table
+        reaches moves no entry by a bit."""
+        full = es.analytic_spectrum(spec, 256).entries
+        for m in (1, 7, 64):
+            assert es.analytic_spectrum(spec, m).entries == full[:m], m
+
+
+@functools.lru_cache(maxsize=None)
+def box_clusters(sides):
+    return oracles.box_clusters(sides)
+
+
+class TestThinRectangles:
+    """Long sides crowd many modes of the short side's first index below
+    the second: the analytic table must still hold every one of them."""
+
+    @pytest.mark.parametrize("m", [16, 64, 256])
+    @pytest.mark.parametrize("sides", [(1, 10), (10, 1), (1, 30)],
+                             ids=["1x10", "10x1", "1x30"])
+    def test_clusters_match_enumeration(self, sides, m):
+        sd = es.analytic_spectrum(es.Rectangle(*sides), m)
+        want = box_clusters(sides)[:m]
+        assert len(want) == m
+        assert [e[1] for e in sd.entries] == [w[1] for w in want]
+        assert sd.lambdas() == pytest.approx([w[0] for w in want], rel=1e-14)
+        # weightless clusters must be exactly zero
+        assert sd.weights() == pytest.approx([w[2] for w in want],
+                                             rel=1e-13, abs=0.0)
+
+    def test_verify_error_is_the_zeta_tail(self):
+        """With exact moments, Gamma(N) zeta_D(N) falls short of A_N / N only
+        by the clusters past the table, so every row's relative error is
+        within Gamma(N) zeta_tail / (A_N / N)."""
+        spec = es.Rectangle(1, 30)
+        report = es.verify_identities(es.analytic_moments(spec, 6),
+                                      es.analytic_spectrum(spec, 64), 6)
+        for row in report["rows"]:
+            bound = math.gamma(row["N"]) * row["zeta_tail"] / row["A_over_N"]
+            assert row["rel_err"] <= bound, row
 
 
 class TestNumeric:
