@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from .csvtable import read_csv, write_csv
 from .geometry import Grid, DomainSpec
 from .discrete_ops import (SolverError, _golub_welsch, assemble_half_laplacian,
                            exact_sum, lanczos)
@@ -51,26 +52,13 @@ class HeatContentCurve:
                                 self.provenance, self.tail_bound)
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("t,q\n")
-            for t, v in zip(self.times, self.q):
-                fh.write(f"{t:.17g},{v:.17g}\n")
+        write_csv(path, "t,q", zip(self.times, self.q))
 
     @staticmethod
     def from_csv(path, provenance="spectral_sum"):
-        ts, qs = [], []
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if not header.startswith("t,"):
-                raise ValueError(f"{path}: expected header t,q")
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                t, v = line.split(",")
-                ts.append(float(t))
-                qs.append(float(v))
-        return HeatContentCurve(ts, qs, provenance)
+        rows = read_csv(path, "t,q")
+        return HeatContentCurve([float(t) for t, _ in rows],
+                                [float(q) for _, q in rows], provenance)
 
 
 class AsymptoticFit:
@@ -83,10 +71,8 @@ class AsymptoticFit:
         self.window = (float(window[0]), float(window[1]))
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("n,q_n,stderr\n")
-            for n, (c, s) in enumerate(zip(self.coefficients, self.stderr)):
-                fh.write(f"{n},{c:.17g},{s:.17g}\n")
+        write_csv(path, "n,q_n,stderr", zip(range(len(self.stderr)),
+                                            self.coefficients, self.stderr))
 
 
 def zeta(sd: SpectralData, s: float) -> float:

@@ -27,6 +27,7 @@ from . import __version__
 from .analysis import (asymptotic_fit, fit_window,
                        heat_content_spectral, heat_content_timestep,
                        verify_identities)
+from .csvtable import write_csv
 from .discrete_ops import SolverError, assemble_half_laplacian
 from .geometry import (Disk, Interval, Polygon, Rectangle, build_grid,
                        build_radial_grid, perturb_polygon)
@@ -35,8 +36,8 @@ from .moments import (analytic_moments, carleman_diagnostic,
 from .montecarlo import McError, SimConfig, _fork_context, \
     estimates_to_json, mc_laplace, mc_moments, mc_survival, \
     simulate_exit_times
-from .spectral import (SpectralData, analytic_spectrum, essential_spectrum,
-                       numeric_spectrum, property_m_report)
+from .spectral import (SpectralData, analytic_spectrum, numeric_spectrum,
+                       property_m_report)
 from .stieltjes import (InversionError, hankel_psd_check, invert_moments,
                         measure_to_spectrum, reconstruct_heat_content)
 
@@ -272,7 +273,14 @@ def _invert_stage(r: Runner, ms):
     return am, sd
 
 
-def _spectrum_stage(r: Runner, m, numeric):
+def _analytic(r: Runner, m, table=None):
+    """First m analytic clusters of the run's domain: a prefix of table,
+    which has the same bits, or of a table of their own."""
+    sd = analytic_spectrum(r.spec, m) if table is None else table
+    return SpectralData(sd.entries[:m], sd.source, sd.volume)
+
+
+def _spectrum_stage(r: Runner, m, numeric, table=None):
     """First m clusters, numeric on the run's grid or analytic."""
     if numeric:
         sd = numeric_spectrum(r.grid, m)
@@ -280,12 +288,11 @@ def _spectrum_stage(r: Runner, m, numeric):
         raise ConfigError("no analytic spectrum for polygons; "
                           "set spectrum.source = numeric")
     else:
-        sd = analytic_spectrum(r.spec, m)
+        sd = _analytic(r, m, table)
     sd.to_csv(r.path("spectrum.csv"))
-    star, _ = essential_spectrum(sd, r.cfg["spectrum.zero_tol"])
-    SpectralData([e for e in sd.entries if e[0] in star], sd.source,
-                 sd.volume).to_csv(r.path("essential.csv"))
-    print(f"spectrum: {len(sd.entries)} clusters, {len(star)} essential, "
+    ess = sd.essential(r.cfg["spectrum.zero_tol"])
+    ess.to_csv(r.path("essential.csv"))
+    print(f"spectrum: {sd.m} clusters, {ess.m} essential, "
           f"lambda_1={sd.entries[0][0]:.9g}")
     return sd
 
@@ -305,7 +312,7 @@ def _heat_times(cfg):
             cfg["heat.dt"] or t_min / 16.0)
 
 
-def _heat_stage(r: Runner, curve):
+def _heat_stage(r: Runner, curve, table=None):
     """Writes the time-stepped curve, plus spectral and fit."""
     t_min, t_max = r.cfg["heat.t_min"], r.cfg["heat.t_max"]
     times = curve.times
@@ -314,7 +321,7 @@ def _heat_stage(r: Runner, curve):
     lines = [f"heat: q({t_min:g})={curve.q[0]:.9g} from {d['lanczos_steps']} "
              f"Lanczos steps ({d['stop']})"]
     if not isinstance(r.spec, Polygon):
-        sd = analytic_spectrum(r.spec, max(r.cfg["spectrum.m"], 32))
+        sd = _analytic(r, max(r.cfg["spectrum.m"], 32), table)
         heat_content_spectral(sd, times).to_csv(r.path("heat_spectral.csv"))
     lo, hi = fit_window(r.spec, r.grid.h)
     window = curve.restrict(max(lo, t_min), min(hi, t_max))
@@ -330,12 +337,12 @@ def _heat_stage(r: Runner, curve):
     return curve
 
 
-def _verify_stage(r: Runner):
+def _verify_stage(r: Runner, table=None):
     """Zeta identity to verify.n_max; returns the report and its verdict."""
     if isinstance(r.spec, Polygon):
         raise ConfigError("verify needs a domain with an analytic spectrum")
     n_max = r.cfg["verify.n_max"]
-    sd = analytic_spectrum(r.spec, max(r.cfg["spectrum.m"], 64))
+    sd = _analytic(r, max(r.cfg["spectrum.m"], 64), table)
     report = verify_identities(analytic_moments(r.spec, n_max), sd, n_max)
     r.write_json("verify.json", report)
     ok = report["max_rel_err"] <= r.cfg["verify.tol"]
@@ -409,10 +416,7 @@ def run_perturb(r: Runner):
         raise ConfigError(f"perturb.f has {len(f)} entries for "
                           f"{len(r.spec.vertices)} vertices")
     moved = perturb_polygon(r.spec, f, r.cfg["perturb.eps"])
-    with open(r.path("perturbed_vertices.csv"), "w") as fh:
-        fh.write("x,y\n")
-        for x, y in moved.vertices:
-            fh.write(f"{x:.17g},{y:.17g}\n")
+    write_csv(r.path("perturbed_vertices.csv"), "x,y", moved.vertices)
     grid = build_grid(moved, r.cfg["grid.h"])
     sd = numeric_spectrum(grid, r.cfg["spectrum.m"])
     sd.to_csv(r.path("perturbed_spectrum.csv"))
@@ -435,12 +439,8 @@ def compare_spectra(sa: SpectralData, sb: SpectralData, tol, zero_tol=1e-6):
     agreement; weight deviations are reported but do not unmatch a row,
     since a truncated measure lumps the spectral tail into its last atom.
     """
-    def essential_rows(sd):
-        vol = sd.volume if sd.volume is not None else sd.total_weight()
-        return [e for e in sd.entries if e[2] > zero_tol * vol]
-
-    rows_a = essential_rows(sa)
-    rows_b = essential_rows(sb)
+    rows_a = sa.essential(zero_tol).entries
+    rows_b = sb.essential(zero_tol).entries
     matched, i, j = [], 0, 0
     while i < len(rows_a) and j < len(rows_b):
         la, ma, wa = rows_a[i]
@@ -576,10 +576,12 @@ def run_all(r: Runner):
                              "vp_1": am.atoms[0][1]}
 
         # the reference spectrum: numeric on the run's grid for polygons,
-        # analytic with at least 16 clusters otherwise
+        # analytic with at least 16 clusters otherwise, cut from the one
+        # table the spectrum, heat and verify stages share
         m = r.cfg["spectrum.m"]
+        table = None if polygon else analytic_spectrum(r.spec, max(m, 64))
         ref = _spectrum_stage(r, m if polygon else max(m, 16),
-                              numeric=polygon)
+                              numeric=polygon, table=table)
         cmp_report = compare_spectra(inv_sd, ref, r.cfg["compare.tol"])
         r.write_json("compare.json", cmp_report)
         n_match = len(cmp_report["matched"])
@@ -598,7 +600,7 @@ def run_all(r: Runner):
                 if cmp_report["unmatched_a"] else "")
         print(f"compare: {n_match} atoms matched reference clusters{tail}")
 
-        curve = _heat_stage(r, heat_curve())
+        curve = _heat_stage(r, heat_curve(), table)
     times = curve.times
     recon = reconstruct_heat_content(am, times)
     recon.to_csv(r.path("heat_reconstructed.csv"))
@@ -615,7 +617,7 @@ def run_all(r: Runner):
         ok = True
         print("verify: skipped (polygon)")
     else:
-        report, ok = _verify_stage(r)
+        report, ok = _verify_stage(r, table)
         summary["verify"] = {"max_rel_err": report["max_rel_err"], "ok": ok}
 
     r.write_json("summary.json", summary)

@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 
+from .csvtable import write_csv
+
 
 class GeometryError(ValueError):
     pass
@@ -339,12 +341,10 @@ class Grid:
         return found.reshape(p.shape[:-1])[()]
 
     def dump_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("x,y,index,weight\n")
-            for i, c in enumerate(self.nodes):
-                x = c[0] if self.nodes.ndim == 2 else c
-                y = c[1] if self.nodes.ndim == 2 and len(c) > 1 else 0.0
-                fh.write(f"{x:.17g},{y:.17g},{i},{self.weights[i]:.17g}\n")
+        # flat (1-D and radial) nodes are written with y = 0
+        xy = np.column_stack([self.nodes, np.zeros(self.n)])
+        write_csv(path, "x,y,index,weight",
+                  zip(xy[:, 0], xy[:, 1], range(self.n), self.weights))
 
 
 def build_grid(spec: DomainSpec, h: float) -> Grid:

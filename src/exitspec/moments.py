@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .csvtable import read_csv, write_csv
 from .geometry import Interval, Rectangle, Disk, DomainSpec, Grid, build_radial_grid
 from .discrete_ops import (Field, SolverError, assemble_half_laplacian,
                            exact_sum, integrate, solve_poisson)
@@ -61,24 +62,11 @@ class MomentSequence:
                                  f"{'positive' if finite else 'finite'}")
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("n,A_n,mu_n\n")
-            for n, (a, m) in enumerate(zip(self.A, self.mu)):
-                fh.write(f"{n},{a:.17g},{m:.17g}\n")
+        write_csv(path, "n,A_n,mu_n", zip(range(len(self.A)), self.A, self.mu))
 
     @staticmethod
     def from_csv(path, provenance="pde", lambda1=None):
-        A = {}
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header.split(",")[:2] != ["n", "A_n"]:
-                raise ValueError(f"{path}: expected header n,A_n,mu_n")
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                A[int(parts[0])] = float(parts[1])
+        A = {int(r[0]): float(r[1]) for r in read_csv(path, "n,A_n,mu_n")}
         if sorted(A) != list(range(len(A))):
             raise ValueError(f"{path}: moment orders must be 0..n_max contiguous")
         return MomentSequence([A[n] for n in sorted(A)], provenance, lambda1)

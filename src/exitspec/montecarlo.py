@@ -44,6 +44,7 @@ from collections import Counter
 
 import numpy as np
 
+from .csvtable import write_csv
 from .geometry import Disk, DomainSpec, Interval, Polygon, Rectangle
 from .moments import MomentSequence
 
@@ -118,10 +119,7 @@ class ExitSamples:
         return self.taus[~np.isnan(self.taus)]
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("path_index,tau\n")
-            for i, t in enumerate(self.taus):
-                fh.write(f"{i},{t:.17g}\n")
+        write_csv(path, "path_index,tau", enumerate(self.taus))
 
 
 class McEstimate:

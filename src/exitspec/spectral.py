@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from .csvtable import read_csv, write_csv
 from .geometry import Interval, Rectangle, Disk, DomainSpec, Grid
 from .discrete_ops import (Field, assemble_half_laplacian, exact_sum,
                            integrate, lowest_eigenpairs)
@@ -58,26 +59,20 @@ class SpectralData:
     def total_weight(self):
         return math.fsum(e[2] for e in self.entries)
 
+    def essential(self, zero_tol=ZERO_TOL_DEFAULT):
+        """The clusters with a2 > zero_tol * volume (the total weight when
+        there is no volume), the ones the constant function can see."""
+        vol = self.volume if self.volume is not None else self.total_weight()
+        return SpectralData([e for e in self.entries if e[2] > zero_tol * vol],
+                            self.source, self.volume)
+
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("lambda,multiplicity,a2\n")
-            for l, mult, a in self.entries:
-                fh.write(f"{l:.17g},{mult},{a:.17g}\n")
+        write_csv(path, "lambda,multiplicity,a2", self.entries)
 
     @staticmethod
     def from_csv(path, source="analytic", volume=None):
-        entries = []
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if not header.startswith("lambda"):
-                raise ValueError(f"{path}: expected header lambda,multiplicity,a2")
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                l, mult, a = line.split(",")
-                entries.append((float(l), int(mult), float(a)))
-        return SpectralData(entries, source, volume)
+        return SpectralData(read_csv(path, "lambda,multiplicity,a2"),
+                            source, volume)
 
 
 def _cluster(values, rel_tol):
@@ -99,9 +94,12 @@ def analytic_spectrum(spec: DomainSpec, m: int) -> SpectralData:
     else 0. Disk: modes of order nu > 0 are double and carry no weight, the
     radial ones a_n^2 = 4 pi R^2 / j_{0,n}^2.
 
-    The table lists every mode below a cap, which starts at the first
-    eigenvalue (the disk's at pi^2/R^2, above it) and doubles until more
-    than m clusters lie below it. An unlisted mode lies above the cap, so
+    The table lists every mode below a cap, which doubles until more than
+    m clusters lie below it. No lower cap reaches m + 1 modes than the
+    lattice-cell bound, (pi (m+1)/L)^2 in 1-D and 4 pi (m+1)/(Lx Ly) in 2-D
+    (each mode's unit cell lies in the quarter ellipse lambda <= cap), so
+    the tensor cap starts there or at the first eigenvalue, whichever is
+    higher; the disk's at pi^2/R^2. An unlisted mode lies above the cap, so
     above the spare (m+1)-th cluster: the first m are complete, and the
     same wherever the cap stopped. Below the cap k <= L sqrt(cap)/pi; a
     zero j_{nu,k} <= R sqrt(cap) has nu < j_{nu,1}, (k - 1/4) pi < j_{0,k}
@@ -123,7 +121,9 @@ def analytic_spectrum(spec: DomainSpec, m: int) -> SpectralData:
             return (math.pi ** 2 * (k * k / np.square(sides)[:, None]).sum(0),
                     np.ones(len(a2), int), np.where((k % 2).all(0), a2, 0.0))
 
-        cap = math.pi ** 2 * sum(L ** -2 for L in sides)
+        cap = max(math.pi ** 2 * sum(L ** -2 for L in sides),
+                  math.pi ** 2 * ((m + 1) ** 2 / sides[0] ** 2) if d == 1
+                  else 4 * math.pi * (m + 1) / math.prod(sides))
     elif isinstance(spec, Disk):
         from scipy.special import jn_zeros
 
@@ -191,19 +191,14 @@ def essential_spectrum(sd: SpectralData, zero_tol: float = ZERO_TOL_DEFAULT):
 
     Returns (spec_star, vp): the essential eigenvalues and their weights.
     """
-    vol = sd.volume if sd.volume is not None else sd.total_weight()
-    spec_star, vp = [], []
-    for lam, _, a2 in sd.entries:
-        if a2 > zero_tol * vol:
-            spec_star.append(lam)
-            vp.append(a2)
-    return spec_star, vp
+    ess = sd.essential(zero_tol)
+    return ess.lambdas(), ess.weights()
 
 
 def property_m_report(sd: SpectralData, zero_tol: float = ZERO_TOL_DEFAULT):
     """Does every cluster carry weight?  Lists the violating eigenvalues."""
-    vol = sd.volume if sd.volume is not None else sd.total_weight()
-    violators = [lam for lam, _, a2 in sd.entries if a2 <= zero_tol * vol]
+    kept = set(sd.essential(zero_tol).entries)
+    violators = [e[0] for e in sd.entries if e not in kept]
     report = {
         "holds": not violators,
         "violators": violators,

@@ -23,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .analysis import HeatContentCurve
+from .csvtable import read_csv, write_csv
 from .discrete_ops import _golub_welsch
 from .moments import MomentSequence
 from .spectral import SpectralData
@@ -63,26 +64,12 @@ class AtomicMeasure:
         return math.fsum(w * x ** n for x, w in self.atoms)
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("x,w\n")
-            for x, w in self.atoms:
-                fh.write(f"{x:.17g},{w:.17g}\n")
+        write_csv(path, "x,w", self.atoms)
 
     @staticmethod
     def from_csv(path):
-        atoms = []
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if not header.startswith("x,"):
-                raise ValueError(f"{path}: expected header x,w")
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                x, w = line.split(",")
-                atoms.append((float(x), float(w)))
-        atoms.sort(key=lambda a: -a[0])
-        return AtomicMeasure(atoms)
+        atoms = [(float(x), float(w)) for x, w in read_csv(path, "x,w")]
+        return AtomicMeasure(sorted(atoms, key=lambda a: -a[0]))
 
 
 def _hankel(mu, p, shift):
@@ -332,11 +319,10 @@ def invert_moments(ms: MomentSequence, p: int,
             continue
         atoms.append((x, w))
     atoms.sort(key=lambda a: -a[0])
-    residuals = []
-    for n in range(2 * p_eff):
-        rec = math.fsum(w * x ** n for x, w in atoms)
-        residuals.append(abs(rec - ms.mu[n]) / abs(ms.mu[n]))
-    diagnostics = {
+    am = AtomicMeasure(atoms)
+    residuals = [abs(am.moment(n) - ms.mu[n]) / abs(ms.mu[n])
+                 for n in range(2 * p_eff)]
+    am.diagnostics = {
         "p_requested": p,
         "p_effective": p_eff,
         "precision": precision,
@@ -346,7 +332,7 @@ def invert_moments(ms: MomentSequence, p: int,
         "cap": {"floor": floor, "threshold": CAP_SAFETY * floor,
                 "sigma_min": _sigma_mins(ms, p)[:p]},
     }
-    return AtomicMeasure(atoms, diagnostics)
+    return am
 
 
 def measure_to_spectrum(am: AtomicMeasure) -> SpectralData:

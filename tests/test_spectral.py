@@ -5,6 +5,7 @@ import pytest
 from scipy.special import jn_zeros
 
 import exitspec as es
+from exitspec import spectral
 
 import oracles
 
@@ -71,6 +72,19 @@ class TestAnalytic:
         full = es.analytic_spectrum(spec, 256).entries
         for m in (1, 7, 64):
             assert es.analytic_spectrum(spec, m).entries == full[:m], m
+
+    def test_interval_cap_starts_at_lattice_cell_bound(self, monkeypatch):
+        """(pi (m+1)/L)^2 is the (m+1)-th eigenvalue itself, so the first
+        table is complete: _cluster, called once per round, runs once."""
+        cluster, rounds = spectral._cluster, []
+
+        def spy(values, rel_tol):
+            rounds.append(len(values))
+            return cluster(values, rel_tol)
+
+        monkeypatch.setattr(spectral, "_cluster", spy)
+        assert es.analytic_spectrum(es.Interval(0, 1), 6).m == 6
+        assert rounds == [7]
 
 
 @functools.lru_cache(maxsize=None)
