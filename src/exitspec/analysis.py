@@ -56,9 +56,9 @@ class HeatContentCurve:
 
     @staticmethod
     def from_csv(path, provenance="spectral_sum"):
-        rows = read_csv(path, "t,q")
-        return HeatContentCurve([float(t) for t, _ in rows],
-                                [float(q) for _, q in rows], provenance)
+        rows = read_csv(path, "t,q", (float, float))
+        return HeatContentCurve([t for t, _ in rows], [q for _, q in rows],
+                                provenance)
 
 
 class AsymptoticFit:

@@ -644,8 +644,8 @@ def run_pipeline(cfg, out_dir, strict=False, dump_operator=False):
     r = Runner(cfg, out_dir, strict=strict, dump_operator=dump_operator)
     try:
         status = RUNNERS[name](r)
-    # ValueError covers ConfigError and GeometryError
-    except (ValueError, SolverError, InversionError, McError) as exc:
+    # ValueError covers ConfigError, GeometryError and a malformed table
+    except (ValueError, OSError, SolverError, InversionError, McError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return r.finish(name, 2)
     return r.finish(name, status)

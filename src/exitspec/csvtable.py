@@ -13,13 +13,25 @@ def write_csv(path, header, rows):
                               for v in row) + "\n")
 
 
-def read_csv(path, header):
-    """The rows of a table written with header, as lists of strings cut to
-    its columns; blank lines are skipped. Raises ValueError naming path
-    unless the file's leading columns are header's."""
+def read_csv(path, header, types=None):
+    """The rows of a table written with header, cut to its columns and
+    passed through types, one converter per column (strings without);
+    blank lines are skipped. Raises ValueError naming path unless the
+    leading columns are header's, and its line for a short or bad row."""
     names = header.split(",")
+    types = types or [str] * len(names)
+    rows = []
     with open(path) as fh:
         if fh.readline().strip().split(",")[:len(names)] != names:
             raise ValueError(f"{path}: expected header {header}")
-        return [line.split(",")[:len(names)]
-                for line in map(str.strip, fh) if line]
+        for line_no, line in enumerate(map(str.strip, fh), start=2):
+            if not line:
+                continue
+            fields = line.split(",")[:len(names)]
+            try:
+                if len(fields) < len(names):
+                    raise ValueError(f"{header} needs {len(names)} fields")
+                rows.append([t(v) for t, v in zip(types, fields)])
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {line_no}: {exc}") from None
+    return rows

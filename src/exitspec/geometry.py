@@ -34,8 +34,16 @@ class DomainSpec:
         raise NotImplementedError
 
     def contains(self, points):
-        """Strict-interior test; points is (n, dim) or (dim,)."""
+        """Strict-interior test; points is (n, dim), (n,) in 1-D. Intervals,
+        rectangles and disks take any leading shape. Intervals and
+        rectangles also leave out points within 1e-12 times their largest
+        |coordinate| of the boundary, so that a lattice point rounded onto
+        it stays out at any scale."""
         raise NotImplementedError
+
+    def box(self):
+        """The bounding box, one (lo, hi) pair per axis; none by default."""
+        raise GeometryError(f"unsupported domain spec {self!r}")
 
 
 class Interval(DomainSpec):
@@ -57,7 +65,11 @@ class Interval(DomainSpec):
 
     def contains(self, points):
         x = np.asarray(points, dtype=float)
-        return (x > self.a) & (x < self.b)
+        eps = 1e-12 * max(abs(self.a), abs(self.b))
+        return (x > self.a + eps) & (x < self.b - eps)
+
+    def box(self):
+        return [(self.a, self.b)]
 
     def __repr__(self):
         return f"Interval({self.a}, {self.b})"
@@ -82,8 +94,13 @@ class Rectangle(DomainSpec):
         return 2.0 * (self.Lx + self.Ly)
 
     def contains(self, points):
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        return (p[:, 0] > 0) & (p[:, 0] < self.Lx) & (p[:, 1] > 0) & (p[:, 1] < self.Ly)
+        p = np.asarray(points, dtype=float)
+        eps = 1e-12 * max(self.Lx, self.Ly)
+        return ((p[..., 0] > eps) & (p[..., 0] < self.Lx - eps) &
+                (p[..., 1] > eps) & (p[..., 1] < self.Ly - eps))
+
+    def box(self):
+        return [(0.0, self.Lx), (0.0, self.Ly)]
 
     def __repr__(self):
         return f"Rectangle({self.Lx}, {self.Ly})"
@@ -107,8 +124,11 @@ class Disk(DomainSpec):
         return 2.0 * math.pi * self.R
 
     def contains(self, points):
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        return p[:, 0] ** 2 + p[:, 1] ** 2 < self.R ** 2
+        p = np.asarray(points, dtype=float)
+        return p[..., 0] ** 2 + p[..., 1] ** 2 < self.R ** 2
+
+    def box(self):
+        return [(-self.R, self.R)] * 2
 
     def __repr__(self):
         return f"Disk({self.R})"
@@ -207,6 +227,10 @@ class Polygon(DomainSpec):
         odd = np.flatnonzero(inside)
         inside[odd[self._near_boundary(p[odd], boundary_eps)]] = False
         return inside
+
+    def box(self):
+        v = np.asarray(self.vertices)
+        return list(zip(v.min(axis=0), v.max(axis=0)))
 
     def crossing_parity(self, p):
         """Vectorized even-odd ray casting (no boundary guard); p is (n,2)."""
@@ -350,37 +374,22 @@ class Grid:
 def build_grid(spec: DomainSpec, h: float) -> Grid:
     """Stair-step lattice grid: the points of h*Z^d strictly inside spec.
 
-    Candidates are the lattice points of the spec's bounding box padded by
-    one node; nodes are ordered lexicographically by lattice coordinates.
-    Raises GeometryError when some axis has fewer than 3 interior nodes.
+    The points of spec.box() padded by one node where spec.contains holds,
+    in lexicographic order of lattice coordinates. Raises GeometryError
+    when some axis has fewer than 3 interior nodes.
     """
     if not (math.isfinite(h) and h > 0):
         raise GeometryError(f"h must be positive and finite, got {h}")
-    if isinstance(spec, Interval):
-        box = [(spec.a, spec.b)]
-    elif isinstance(spec, Rectangle):
-        box = [(0.0, spec.Lx), (0.0, spec.Ly)]
-    elif isinstance(spec, Disk):
-        box = [(-spec.R, spec.R)] * 2
-    elif isinstance(spec, Polygon):
-        v = np.asarray(spec.vertices)
-        box = list(zip(v.min(axis=0), v.max(axis=0)))
-    else:
-        raise GeometryError(f"unsupported domain spec {spec!r}")
+    box = spec.box()
     axes = [np.arange(math.floor(lo / h) - 1, math.ceil(hi / h) + 2)
             for lo, hi in box]
     cand = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, len(box))
-    pts = cand * h
-    if isinstance(spec, (Interval, Rectangle)):
-        eps = 1e-12 * max(1.0, *(abs(b) for lh in box for b in lh))
-        mask = np.all([(lo + eps < pts[:, k]) & (pts[:, k] < hi - eps)
-                       for k, (lo, hi) in enumerate(box)], axis=0)
-    else:
-        mask = spec.contains(pts)
+    pts = cand * h if len(box) > 1 else cand[:, 0] * h  # flat in 1-D
+    mask = spec.contains(pts)
     lattice = cand[mask]
     if any(len(np.unique(lattice[:, k])) < 3 for k in range(len(box))):
         raise GeometryError(f"h={h} leaves fewer than 3 interior nodes per axis")
-    nodes = pts[mask] if len(box) > 1 else pts[mask, 0]
+    nodes = pts[mask]
     weights = np.full(len(lattice), math.prod([h] * len(box)))
     return Grid(spec, h, nodes, lattice, weights)
 

@@ -66,7 +66,8 @@ class MomentSequence:
 
     @staticmethod
     def from_csv(path, provenance="pde", lambda1=None):
-        A = {int(r[0]): float(r[1]) for r in read_csv(path, "n,A_n,mu_n")}
+        A = {n: a for n, a, _ in read_csv(path, "n,A_n,mu_n",
+                                          (int, float, float))}
         if sorted(A) != list(range(len(A))):
             raise ValueError(f"{path}: moment orders must be 0..n_max contiguous")
         return MomentSequence([A[n] for n in sorted(A)], provenance, lambda1)

@@ -30,7 +30,7 @@ Python >= 3.12 warns on such a fork.
 
 Reproducibility contract: path i draws from a Philox stream keyed
 (base_seed mod 2^64, i), consumed in simulation order (start-point
-rejection draws first where applicable, then dim normals per step);
+rejection draws first for uniform starts, then dim normals per step);
 estimator reductions run in fixed path-index order. Worker count, chunk and pass sizes cannot
 change any estimate bit-for-bit.
 """
@@ -45,7 +45,7 @@ from collections import Counter
 import numpy as np
 
 from .csvtable import write_csv
-from .geometry import Disk, DomainSpec, Interval, Polygon, Rectangle
+from .geometry import DomainSpec, GeometryError, Polygon
 from .moments import MomentSequence
 
 STEP_CAP = 10 ** 8      # a path not out of D after this many steps is NaN
@@ -78,12 +78,10 @@ class SimConfig:
             raise ValueError(f"dt must be positive and finite, got {dt}")
         if paths < 1:
             raise ValueError("need at least one path")
-        if x0 is not None:
-            pt = np.atleast_2d(np.asarray(x0, dtype=float))
-            if not bool(np.all(spec.contains(pt if spec.dim > 1 else pt[0]))):
-                raise ValueError(f"x0={x0} is not strictly interior")
-        self.spec = spec
         self.x0 = None if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
+        if self.x0 is not None and not np.all(spec.contains(self.x0)):
+            raise ValueError(f"x0={x0} is not strictly interior")
+        self.spec = spec
         self.paths = int(paths)
         self.dt = float(dt)
         self.seed = int(seed)
@@ -141,50 +139,23 @@ class McEstimate:
         return f"McEstimate({self.tag}: {self.value:.6g} +- {self.stderr:.2g})"
 
 
-def _outside_mask(spec, pos):
-    """pos is (rows, L, dim) or (rows, L) in 1D; True where pos is not in D."""
-    if isinstance(spec, Interval):
-        return (pos <= spec.a) | (pos >= spec.b)
-    if isinstance(spec, Rectangle):
-        return ((pos[..., 0] <= 0) | (pos[..., 0] >= spec.Lx) |
-                (pos[..., 1] <= 0) | (pos[..., 1] >= spec.Ly))
-    if isinstance(spec, Disk):
-        return pos[..., 0] ** 2 + pos[..., 1] ** 2 >= spec.R ** 2
-    if isinstance(spec, Polygon):
-        shape = pos.shape[:-1]
-        flat = pos.reshape(-1, 2)
-        return ~spec.crossing_parity(flat).reshape(shape)
-    raise McError(f"unsupported domain {spec!r}")
-
-
 def _start_points(spec, gens):
-    """Uniform interior start points, row i from path i's own stream.
-
-    Disks and polygons reject from the bounding box: every pending path draws
-    one candidate, in path order, one vectorized contains call judges them
-    all, and rejected paths draw again. Each path consumes the same draws in
-    the same order as when it is sampled alone.
+    """Uniform interior start points, row i from path i's own stream,
+    rejected from spec.box() by spec.contains: every pending path draws one
+    candidate, in path order, one vectorized contains call judges them all,
+    and rejected paths draw again. Each path consumes the same draws in the
+    same order as when it is sampled alone.
     """
-    if isinstance(spec, Interval):
-        u = np.array([g.random() for g in gens])
-        return (spec.a + u * (spec.b - spec.a))[:, None]
-    if isinstance(spec, Rectangle):
-        u = np.array([(g.random(), g.random()) for g in gens])
-        return u * np.array([spec.Lx, spec.Ly])
-    if isinstance(spec, Disk):
-        lo = np.array([-spec.R, -spec.R])
-        side = np.array([2 * spec.R, 2 * spec.R])
-    elif isinstance(spec, Polygon):
-        v = np.asarray(spec.vertices)
-        lo = v.min(axis=0)
-        side = v.max(axis=0) - lo
-    else:
-        raise McError(f"unsupported domain {spec!r}")
-    pts = np.empty((len(gens), 2))
+    try:
+        lo, hi = np.array(spec.box()).T
+    except GeometryError as exc:
+        raise McError(str(exc)) from None
+    dim, side = spec.dim, hi - lo
+    pts = np.empty((len(gens), dim))
     pending = np.arange(len(gens))
     for _ in range(10000):
-        cand = lo + np.array([gens[i].random(2) for i in pending]) * side
-        ok = spec.contains(cand)
+        cand = lo + np.array([gens[i].random(dim) for i in pending]) * side
+        ok = spec.contains(cand if dim > 1 else cand[:, 0])
         pts[pending[ok]] = cand[ok]
         pending = pending[~ok]
         if not len(pending):
@@ -208,8 +179,13 @@ def _walk_pass(spec, gens, pos, n, sqdt):
     for g, row in zip(gens, walk[:, 1:]):
         g.standard_normal(out=row)
     _advance(walk, sqdt)
-    outside = _outside_mask(spec, walk[..., 0] if spec.dim == 1 else walk)[:, 1:]
-    first = np.where(outside.any(axis=1), outside.argmax(axis=1) + 1, 0)
+    if isinstance(spec, Polygon):
+        # parity alone: contains would add an edge-distance test per point
+        inside = spec.crossing_parity(walk.reshape(-1, 2)).reshape(walk.shape[:2])
+    else:
+        inside = spec.contains(walk[..., 0] if spec.dim == 1 else walk)
+    inside = inside[:, 1:]
+    first = np.where(inside.all(axis=1), 0, inside.argmin(axis=1) + 1)
     return first, walk[:, -1].copy()  # a view would keep walk alive
 
 

@@ -71,8 +71,8 @@ class SpectralData:
 
     @staticmethod
     def from_csv(path, source="analytic", volume=None):
-        return SpectralData(read_csv(path, "lambda,multiplicity,a2"),
-                            source, volume)
+        return SpectralData(read_csv(path, "lambda,multiplicity,a2",
+                                     (float, int, float)), source, volume)
 
 
 def _cluster(values, rel_tol):
@@ -109,8 +109,7 @@ def analytic_spectrum(spec: DomainSpec, m: int) -> SpectralData:
     if m < 1:
         raise ValueError("m must be >= 1")
     if isinstance(spec, (Interval, Rectangle)):
-        sides = ((spec.b - spec.a,) if isinstance(spec, Interval)
-                 else (spec.Lx, spec.Ly))
+        sides = tuple(hi - lo for lo, hi in spec.box())
         d = len(sides)
 
         def modes(cap):

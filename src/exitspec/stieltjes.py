@@ -68,7 +68,7 @@ class AtomicMeasure:
 
     @staticmethod
     def from_csv(path):
-        atoms = [(float(x), float(w)) for x, w in read_csv(path, "x,w")]
+        atoms = read_csv(path, "x,w", (float, float))
         return AtomicMeasure(sorted(atoms, key=lambda a: -a[0]))
 
 

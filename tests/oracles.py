@@ -298,7 +298,7 @@ def loop_lattice_grid(spec, h):
     lexicographic order, kept when strictly inside (eps-guarded for the
     interval and the rectangle, spec.contains for polygons)."""
     if spec.kind == "interval":
-        eps = 1e-12 * max(1.0, abs(spec.a), abs(spec.b))
+        eps = 1e-12 * max(abs(spec.a), abs(spec.b))
         idx = [i for i in range(math.floor(spec.a / h) - 1,
                                 math.ceil(spec.b / h) + 2)
                if spec.a + eps < i * h < spec.b - eps]
@@ -318,7 +318,7 @@ def loop_lattice_grid(spec, h):
             for j in range(math.floor(ylo / h) - 1, math.ceil(yhi / h) + 2)]
     pts = np.array([(i * h, j * h) for i, j in cand])
     if spec.kind == "rectangle":
-        eps = 1e-12 * max(1.0, spec.Lx, spec.Ly)
+        eps = 1e-12 * max(spec.Lx, spec.Ly)
         mask = ((pts[:, 0] > eps) & (pts[:, 0] < spec.Lx - eps) &
                 (pts[:, 1] > eps) & (pts[:, 1] < spec.Ly - eps))
     elif spec.kind == "disk":

@@ -147,3 +147,33 @@ class TestReaders:
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {b}: expected header lambda,multiplicity,a2"]
+
+    @pytest.mark.parametrize("row, why", [
+        ("12.5,1", "lambda,multiplicity,a2 needs 3 fields"),
+        ("12.5,1,0.1x", "could not convert string to float: '0.1x'"),
+        # a multiplicity is an integer, and 1.5 is none
+        ("12.5,1.5,0.1", "invalid literal for int() with base 10: '1.5'"),
+    ])
+    def test_compare_reports_a_bad_row(self, tmp_path, capsys, row, why):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        es.SpectralData([(9.87, 1, 0.81)], "analytic").to_csv(a)
+        b.write_text(f"lambda,multiplicity,a2\n\n9.87,1,0.81\n{row}\n")
+        cfg = tmp_path / "cmp.cfg"
+        cfg.write_text(f"compare.a = {a}\ncompare.b = {b}\n")
+        assert main(["--pipeline", "compare", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {b}, line 4: {why}"]
+
+    def test_compare_reports_a_missing_table(self, tmp_path, capsys):
+        a, b = tmp_path / "missing.csv", tmp_path / "b.csv"
+        es.SpectralData([(9.87, 1, 0.81)], "analytic").to_csv(b)
+        cfg = tmp_path / "cmp.cfg"
+        cfg.write_text(f"compare.a = {a}\ncompare.b = {b}\n")
+        out = tmp_path / "out"
+        assert main(["--pipeline", "compare", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(a) in err[0]
+        assert (out / "manifest.json").exists()

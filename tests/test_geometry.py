@@ -259,6 +259,21 @@ class TestGrids:
         with pytest.raises(es.GeometryError, match="lexicographic"):
             es.Grid(g.spec, g.h, g.nodes[::-1], g.lattice[::-1], g.weights)
 
+    @pytest.mark.parametrize("c", [2.0 ** -40, 1.0, 2.0 ** 40])
+    def test_boundary_guard_scales_with_the_domain(self, c):
+        # the interval's and the rectangle's guard is relative, as the
+        # polygon's is; an absolute 1e-12 dropped the nodes within it of a
+        # side, so at c = 2^-40 every axis had fewer than 3
+        h = c / 8
+        ticks = list(range(1, 8))
+        square = [(i, j) for i in ticks for j in ticks]
+        poly = es.Polygon([(c * x, c * y) for x, y in UNIT_SQUARE])
+        assert es.build_grid(es.Interval(0, c), h).lattice.tolist() == [
+            [i] for i in ticks]
+        for spec in (es.Rectangle(c, c), poly):
+            assert es.build_grid(spec, h).lattice.tolist() == [
+                list(ij) for ij in square]
+
     def test_h_must_be_positive(self):
         for h in (0.0, -0.1, math.nan, math.inf):
             # the message names the bad value
