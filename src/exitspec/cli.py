@@ -11,7 +11,6 @@ replays a manifest and checks the hashes.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import hashlib
 import json
@@ -33,7 +32,7 @@ from .geometry import (Disk, Interval, Polygon, Rectangle, build_grid,
                        build_radial_grid, perturb_polygon)
 from .moments import (analytic_moments, carleman_diagnostic,
                       exit_moment_fields, moment_sequence)
-from .montecarlo import McError, SimConfig, _fork_context, \
+from .montecarlo import McError, SimConfig, _beside, \
     estimates_to_json, mc_laplace, mc_moments, mc_survival, \
     simulate_exit_times
 from .spectral import (SpectralData, analytic_spectrum, numeric_spectrum,
@@ -493,71 +492,19 @@ def run_compare(r: Runner):
     return 0
 
 
-def _send_result(conn, fn, args):
-    """Body of _beside's child: sends (True, fn(*args)) or (False, the
-    exception it raised) and exits."""
-    try:
-        msg = (True, fn(*args))
-    except Exception as exc:  # noqa: BLE001 - raised again in the parent
-        msg = (False, exc)
-    conn.send(msg)
-    conn.close()
-
-
-@contextlib.contextmanager
-def _beside(fn, *args):
-    """Compute fn(*args) beside the with-body, which receives a function
-    that returns the result or raises what fn raised.
-
-    Where _fork_context allows, fn runs on a child forked on entry. The
-    child inherits fn and its arguments, so nothing is pickled but the
-    result, and a closure serves as well as a module-level function. It
-    writes no file and prints nothing: Process.start flushes stdout and
-    stderr before the fork, so no buffered line is printed twice. Leaving
-    the block ends and joins the child, whether its result was taken or
-    not. Otherwise fn runs in-process when the result is asked for.
-    """
-    ctx = _fork_context()
-    if ctx is None:
-        yield lambda: fn(*args)
-        return
-    recv, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_send_result, args=(send, fn, args))
-    child.start()
-    send.close()
-
-    def result():
-        try:
-            ok, value = recv.recv()
-        except EOFError:
-            child.join()
-            raise ChildProcessError(
-                f"{fn.__name__} exited with code {child.exitcode} on its "
-                f"forked process before sending a result") from None
-        if not ok:
-            raise value
-        return value
-
-    try:
-        yield result
-    finally:
-        recv.close()
-        child.terminate()  # a child that has sent its result is exiting
-        child.join()
-
-
 def run_all(r: Runner):
     """Full chain on the run's grid: moments -> invert -> compare -> heat
     -> verify, summarized in summary.json.
 
-    The heat curve needs only the grid, so it is computed beside the
-    moment -> spectrum chain (see _beside): on a child forked as soon as
-    the grid and its operator exist, where the platform can fork and the
-    process may run on two CPUs or more, and otherwise in-process at the
-    heat stage. A process, not a thread, because SuperLU's solve holds the
-    GIL. Either way the heat stage writes its files and prints its lines
-    where it always has, so every output is the same, and no child
-    outlives the call.
+    The heat curve needs only the grid, so montecarlo._beside, which also
+    runs the Monte Carlo workers, computes it beside the moment -> spectrum
+    chain: on a child forked as soon as the grid and its operator exist,
+    where the platform can fork and the process may run on two CPUs or
+    more, and otherwise in-process at the heat stage. A process, not a
+    thread, because SuperLU's solve holds the GIL. Either way the heat
+    stage writes its files and prints its lines where it always has, so
+    every output is the same, and no child outlives the call; a child that
+    dies first is an OSError, reported as any other.
     """
     times_dt = _heat_times(r.cfg)  # a bad heat config stops the run here
     polygon = isinstance(r.spec, Polygon)

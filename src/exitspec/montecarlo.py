@@ -17,16 +17,16 @@ live paths in groups of at most PASS_NORMALS normals (paths x steps x dim),
 so its arrays stay a few MB. A path is NaN exactly when it has not left D
 within STEP_CAP steps.
 
-Workers: with workers > 1, chunks run on worker processes forked for the
-call, at most one per chunk. Worker threads would wait on one another
-(about 18 % of their time on 2 cores): np.cumsum, the walk's running sum,
-holds the GIL for its whole call. The workers fork rather than spawn,
-because a spawned worker re-imports numpy and this package, about 0.2 s,
-more than a small run takes. Where the platform has no fork, or the process
-may run on one CPU only, the chunks run in-process, with the same bits
-(_fork_context decides). In a caller that runs threads of its own,
-a fork can deadlock on a lock another thread held at that moment, and
-Python >= 3.12 warns on such a fork.
+Workers: with workers > 1, chunk i goes to part i mod procs, procs =
+min(workers, chunks), and each part runs on a process forked by _beside,
+the package's one helper that starts a process (the CLI's `all` runs its
+heat curve with it too); the parent walks no chunk itself. Threads would
+wait on one another (about 18 % of their time on 2 cores): np.cumsum, the
+walk's running sum, holds the GIL for its whole call. Fork, not spawn: a
+spawned worker re-imports numpy and this package, about 0.2 s, more than
+a small run takes. In a caller that runs threads of its own, a fork can
+deadlock on a lock another thread held at that moment, and Python >= 3.12
+warns on such a fork.
 
 Reproducibility contract: path i draws from a Philox stream keyed
 (base_seed mod 2^64, i), consumed in simulation order (start-point
@@ -37,6 +37,7 @@ change any estimate bit-for-bit.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -70,6 +71,58 @@ def _fork_context():
     return multiprocessing.get_context("fork")
 
 
+@contextlib.contextmanager
+def _beside(fn, *args):
+    """Compute fn(*args) beside the with-body, which receives a function
+    that returns the result or raises what fn raised.
+
+    Where _fork_context allows, fn runs on a child forked on entry. The
+    child inherits fn and its arguments, so nothing is pickled but the
+    result, and a closure serves as well as a module-level function. It
+    writes no file and prints nothing: Process.start flushes stdout and
+    stderr before the fork, so no buffered line is printed twice. If the
+    child exits before sending its result, asking for it raises
+    ChildProcessError naming fn. Leaving the block ends and joins the
+    child, whether its result was taken or not. Otherwise fn runs
+    in-process when the result is asked for.
+    """
+    ctx = _fork_context()
+    if ctx is None:
+        yield lambda: fn(*args)
+        return
+    recv, send = ctx.Pipe(duplex=False)
+
+    def body():  # the child's: send (True, fn(*args)) or (False, its error)
+        try:
+            msg = (True, fn(*args))
+        except Exception as exc:  # noqa: BLE001 - raised again in the parent
+            msg = (False, exc)
+        send.send(msg)
+
+    child = ctx.Process(target=body)
+    child.start()
+    send.close()
+
+    def result():
+        try:
+            ok, value = recv.recv()
+        except EOFError:
+            child.join()
+            raise ChildProcessError(
+                f"{fn.__name__} exited with code {child.exitcode} on its "
+                f"forked process before sending a result") from None
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield result
+    finally:
+        recv.close()
+        child.terminate()  # a child that has sent its result is exiting
+        child.join()
+
+
 class SimConfig:
     """Domain, start point (None for uniform starts), paths, dt, seed."""
 
@@ -79,6 +132,8 @@ class SimConfig:
         if paths < 1:
             raise ValueError("need at least one path")
         self.x0 = None if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
+        if self.x0 is not None and self.x0.shape != (spec.dim,):
+            raise ValueError(f"x0={x0} needs spec.dim={spec.dim} coordinates")
         if self.x0 is not None and not np.all(spec.contains(self.x0)):
             raise ValueError(f"x0={x0} is not strictly interior")
         self.spec = spec
@@ -247,31 +302,29 @@ def simulate_exit_times(cfg: SimConfig, workers: int = 1,
     samples' stats are summed over the chunks in path order.
 
     Chunks of chunk_paths paths run in-process when workers is 1 or there
-    is one chunk, and otherwise on min(workers, chunks) processes forked for
-    this call, which see the module's state as it is at the call. Where the
-    platform cannot fork, or the process may run on one CPU only, they run
-    in-process. Processes, not threads, because np.cumsum in the walk holds
-    the GIL; Python >= 3.12 warns when a caller that runs threads of its
-    own forks. An error in a chunk cancels the chunks not yet started and
-    is raised here.
+    is one chunk, and otherwise on the forked parts the module docstring
+    describes, which see the module's state as it is at the call, or
+    in-process where _beside cannot fork. A failing part raises here, the
+    first in part order, and no child outlives the call.
     """
     if workers < 1 or block_steps < 1 or chunk_paths < 1:
         raise ValueError("workers, block_steps and chunk_paths must be positive")
     spans = [(lo, min(lo + chunk_paths, cfg.paths))
              for lo in range(0, cfg.paths, chunk_paths)]
     procs = min(workers, len(spans))
-    ctx = _fork_context() if procs > 1 else None
-    if ctx is not None:
-        from concurrent.futures import ProcessPoolExecutor
-        ex = ProcessPoolExecutor(procs, ctx)
-        try:
-            futs = [ex.submit(_run_chunk, cfg, lo, hi, block_steps)
-                    for lo, hi in spans]
-            results = [f.result() for f in futs]
-        finally:
-            ex.shutdown(cancel_futures=True)
+
+    def exit_time_chunks(part):  # the name a dead child's error gives
+        return [_run_chunk(cfg, lo, hi, block_steps) for lo, hi in part]
+
+    if procs == 1:
+        results = exit_time_chunks(spans)
     else:
-        results = [_run_chunk(cfg, lo, hi, block_steps) for lo, hi in spans]
+        with contextlib.ExitStack() as stack:
+            parts = [stack.enter_context(
+                _beside(exit_time_chunks, spans[i::procs]))
+                for i in range(procs)]
+            done = [part() for part in parts]
+        results = [done[j % procs][j // procs] for j in range(len(spans))]
     stats = Counter()
     for _, chunk_stats in results:
         stats.update(chunk_stats)

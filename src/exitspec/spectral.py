@@ -39,7 +39,7 @@ class SpectralData:
         for l, m, a in entries:
             if a < 0 and a > -1e-14 * scale:
                 a = 0.0
-            if l <= 0 or a < 0:
+            if not (0 < l < math.inf and 0 <= a < math.inf):
                 raise ValueError(f"bad entry lambda={l}, a2={a}")
             clamped.append((l, m, a))
         self.entries = clamped

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import exitspec as es
 import exitspec.cli as cli
+import exitspec.montecarlo as mcmod
 from exitspec.cli import (
     ConfigError, SCHEMA, compare_spectra, default_config, emit_config,
     main, parse_config,
@@ -375,6 +376,15 @@ class TestPipelines:
         else:
             assert f"error: {message}" in err
 
+    def test_mc_x0_of_the_wrong_length(self, tmp_path, capsys):
+        rc = run(["--pipeline", "mc"], tmp_path, config_text({
+            **ALL_INTERVAL, "domain.type": "rectangle",
+            "mc.x0": "0.5, 0.5, 7"}))
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: x0=[0.5, 0.5, 7.0] needs spec.dim=2 coordinates"]
+        assert (tmp_path / "out" / "manifest.json").exists()
+
     def test_verify_beyond_moments_n_max(self, tmp_path):
         rc = run(["--pipeline", "verify"], tmp_path, config_text=(
             "domain.type = interval\n"
@@ -498,6 +508,35 @@ class TestAllForked:
         man = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert man["pipeline"] == "all"
 
+    @pytest.mark.parametrize("pipeline, module, name, work, changes", [
+        ("all", cli, "heat_content_timestep", "heat_content_timestep", {}),
+        ("mc", mcmod, "_run_chunk", "exit_time_chunks",
+         {"mc.paths": "2048", "mc.workers": "2"}),
+    ], ids=["all-heat", "mc-chunk"])
+    def test_child_that_dies_is_an_error(self, tmp_path, monkeypatch, capfd,
+                                         pipeline, module, name, work,
+                                         changes):
+        """A child that exits before sending its result is a
+        ChildProcessError, an OSError: one error line naming the work and
+        the exit code, status 2, and the manifest is written."""
+        two_cpus(monkeypatch)
+
+        def dies(*args):
+            os._exit(3)
+
+        dies.__name__ = name  # as the function it stands in for
+        monkeypatch.setattr(module, name, dies)
+        rc = run(["--pipeline", pipeline], tmp_path,
+                 config_text({**ALL_INTERVAL, **changes}))
+        err = capfd.readouterr().err
+        assert rc == 2
+        assert err.splitlines() == [
+            f"error: {work} exited with code 3 on its forked process "
+            f"before sending a result"]
+        man = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert man["pipeline"] == pipeline
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("pipeline", ["all", "heat"])
     @pytest.mark.parametrize("changes, message", [
         ({"heat.samples": "0"}, "heat.samples must be >= 1"),
@@ -534,7 +573,7 @@ class TestAllForked:
         the heat stage, at the PSD failure's early return, and when a
         stage before the heat stage raises, while the child still runs."""
         two_cpus(monkeypatch)
-        assert cli._fork_context() is not None
+        assert mcmod._fork_context() is not None
         keys = dict(ALL_INTERVAL)
         if case != "returns":
             monkeypatch.setattr(cli, "heat_content_timestep",

@@ -177,3 +177,16 @@ class TestReaders:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert str(a) in err[0]
         assert (out / "manifest.json").exists()
+
+    def test_compare_reports_a_non_finite_entry(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        es.SpectralData([(9.87, 1, 0.81)], "analytic").to_csv(a)
+        b.write_text("lambda,multiplicity,a2\nnan,1,0.5\n")
+        cfg = tmp_path / "cmp.cfg"
+        cfg.write_text(f"compare.a = {a}\ncompare.b = {b}\n")
+        out = tmp_path / "out"
+        assert main(["--pipeline", "compare", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: bad entry lambda=nan, a2=0.5"]
+        assert (out / "manifest.json").exists()

@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -52,6 +54,17 @@ class TestConfig:
                    {"workers": -2}):
             with pytest.raises(ValueError, match="must be positive"):
                 es.simulate_exit_times(cfg, **kw)
+
+    @pytest.mark.parametrize("spec, x0", [
+        (es.Rectangle(1, 1), [0.5, 0.5, 7]),
+        (es.Interval(0, 1), [0.5, 0.5]),
+    ], ids=["rectangle-3", "interval-2"])
+    def test_x0_needs_dim_coordinates(self, spec, x0):
+        # the interior test reads only the coordinates it knows, so it
+        # cannot catch a start point of the wrong length
+        with pytest.raises(ValueError, match=(
+                rf"x0=.* needs spec.dim={spec.dim} coordinates")):
+            es.SimConfig(spec, x0, 10, 1e-3, seed=1)
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
     def test_non_finite_dt_rejected(self, dt):
@@ -190,6 +203,83 @@ class TestDeterminism:
         small = es.SimConfig(cfg.spec, [0.5], 100, cfg.dt, seed=cfg.seed)
         taus = es.simulate_exit_times(small).taus
         assert np.array_equal(taus, base.taus[:100])
+
+
+def two_cpus(monkeypatch):
+    """Let simulate_exit_times fork its parts even where this process is
+    pinned to one CPU."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+
+
+RUN_CHUNK = mcmod._run_chunk
+
+
+# stand-ins for _run_chunk on chunks of 4 paths; module-level, so that they
+# serve a runner that pickles its tasks as well as one that forks them
+def dies_at_chunk_1(cfg, lo, hi, block_steps):
+    if lo == 4:
+        os._exit(3)
+    return RUN_CHUNK(cfg, lo, hi, block_steps)
+
+
+def raises_at_0_sleeps_at_1(cfg, lo, hi, block_steps):
+    if lo == 0:
+        raise es.McError("chunk 0 failed")
+    time.sleep(60)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the platform cannot fork")
+class TestForkedParts:
+    """With workers > 1, chunk i runs on the child forked for part
+    i mod procs; the parent walks none, and no child outlives the call."""
+
+    def test_chunks_are_dealt_round_robin(self, tmp_path, monkeypatch,
+                                          mc_interval_small):
+        cfg, base = mc_interval_small
+        two_cpus(monkeypatch)
+        log = tmp_path / "chunks"
+
+        def spy(cfg, lo, hi, block_steps):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {lo}\n")
+            return RUN_CHUNK(cfg, lo, hi, block_steps)
+
+        monkeypatch.setattr(mcmod, "_run_chunk", spy)
+        again = es.simulate_exit_times(cfg, workers=2, chunk_paths=64)
+        assert np.array_equal(base.taus, again.taus)
+        assert multiprocessing.active_children() == []
+        parts = {}
+        for pid, lo in map(str.split, log.read_text().splitlines()):
+            parts.setdefault(int(pid), []).append(int(lo))
+        assert os.getpid() not in parts
+        assert sorted(parts.values()) == [[0, 128, 256, 384],
+                                          [64, 192, 320, 448]]
+
+    def test_child_that_dies_is_an_error(self, monkeypatch):
+        """A part whose child exits before sending its chunks raises
+        ChildProcessError, naming the work and the exit code."""
+        two_cpus(monkeypatch)
+        monkeypatch.setattr(mcmod, "_run_chunk", dies_at_chunk_1)
+        cfg = es.SimConfig(es.Interval(0, 1), [0.5], 8, 1e-3, seed=1)
+        with pytest.raises(ChildProcessError, match=(
+                r"^exit_time_chunks exited with code 3 on its forked "
+                r"process before sending a result$")):
+            es.simulate_exit_times(cfg, workers=2, chunk_paths=4)
+        assert multiprocessing.active_children() == []
+
+    def test_error_ends_the_children_at_once(self, monkeypatch):
+        """Chunk 0 raises while chunk 1 sleeps: the error is raised without
+        waiting for chunk 1, whose child is ended."""
+        two_cpus(monkeypatch)
+        monkeypatch.setattr(mcmod, "_run_chunk", raises_at_0_sleeps_at_1)
+        cfg = es.SimConfig(es.Interval(0, 1), [0.5], 8, 1e-3, seed=1)
+        t = time.perf_counter()
+        with pytest.raises(es.McError, match="chunk 0 failed"):
+            es.simulate_exit_times(cfg, workers=2, chunk_paths=4)
+        assert time.perf_counter() - t < 30
+        assert multiprocessing.active_children() == []
 
 
 class TestSamples:

@@ -181,6 +181,15 @@ class TestStructures:
         sd = es.SpectralData([(1.0, 1, -1e-15)], "analytic")
         assert sd.weights() == [0.0]
 
+    @pytest.mark.parametrize("row", ["nan,1,0.5", "1,1,nan", "inf,1,0.5",
+                                     "1,1,inf", "-inf,1,0.5"])
+    def test_non_finite_entry_rejected(self, tmp_path, row):
+        # a one-row table has no order to check, and NaN passes lambda <= 0
+        path = tmp_path / "spec.csv"
+        path.write_text(f"lambda,multiplicity,a2\n{row}\n")
+        with pytest.raises(ValueError, match="bad entry"):
+            es.SpectralData.from_csv(path)
+
     @pytest.mark.parametrize("with_volume", [True, False])
     def test_weight_clamp_follows_dilations(self, with_volume):
         """Dust is relative to the spectrum's scale, c^2 for a planar domain
