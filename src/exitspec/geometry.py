@@ -233,18 +233,27 @@ class Polygon(DomainSpec):
         return list(zip(v.min(axis=0), v.max(axis=0)))
 
     def crossing_parity(self, p):
-        """Vectorized even-odd ray casting (no boundary guard); p is (n,2)."""
+        """Even-odd ray casting (no boundary guard) on p, (n,2). Per edge it
+        computes, in place in one float buffer and two masks, the bits of
+        ((y1 > y) != (y2 > y)) & (x < x1 + (y - y1) * (x2 - x1) / (y2 - y1))."""
         v = np.asarray(self.vertices)
         x, y = p[:, 0], p[:, 1]
         inside = np.zeros(len(p), dtype=bool)
+        cross, mask = np.empty_like(inside), np.empty_like(inside)
+        xc = np.empty(len(p))
         n = len(v)
         for i in range(n):
             x1, y1 = v[i]
             x2, y2 = v[(i + 1) % n]
-            cond = (y1 > y) != (y2 > y)
+            np.not_equal(np.less(y, y1, out=cross), np.less(y, y2, out=mask),
+                         out=cross)
+            np.subtract(y, y1, out=xc)
             with np.errstate(divide="ignore", invalid="ignore"):
-                xc = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            inside ^= cond & (x < xc)
+                xc *= x2 - x1
+                xc /= y2 - y1
+                xc += x1
+            cross &= np.less(x, xc, out=mask)
+            inside ^= cross
         return inside
 
     def _near_boundary(self, p, eps):

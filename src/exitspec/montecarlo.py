@@ -13,9 +13,9 @@ change a single bit of it. tau = j * dt at the first j with x_j outside D.
 Passes: paths run in chunks of chunk_paths. A chunk's first pass walks its
 live paths FIRST_PASS steps, and each later pass doubles that up to
 block_steps, cut to the steps left under STEP_CAP. A pass works through the
-live paths in groups of at most PASS_NORMALS normals (paths x steps x dim),
-so its arrays stay a few MB. A path is NaN exactly when it has not left D
-within STEP_CAP steps.
+live paths in groups of at most PASS_NORMALS = 2^16 normals (paths x steps x
+dim), a 0.5 MB walk that stays in a core's L2 cache. A path is NaN exactly
+when it has not left D within STEP_CAP steps.
 
 Workers: with workers > 1, chunk i goes to part i mod procs, procs =
 min(workers, chunks), and each part runs on a process forked by _beside,
@@ -51,7 +51,7 @@ from .moments import MomentSequence
 
 STEP_CAP = 10 ** 8      # a path not out of D after this many steps is NaN
 FIRST_PASS = 64         # steps in a chunk's first pass
-PASS_NORMALS = 2 ** 19  # normals per group of a pass (paths x steps x dim)
+PASS_NORMALS = 2 ** 16  # normals per group of a pass (paths x steps x dim)
 
 
 class McError(RuntimeError):
@@ -115,6 +115,7 @@ def _beside(fn, *args):
             raise value
         return value
 
+    result.fileno = recv.fileno  # connection.wait can wait on the result
     try:
         yield result
     finally:
@@ -249,7 +250,8 @@ def _run_chunk(cfg, lo, hi, block_steps):
 
     All live paths of a chunk have taken the same number of steps, so one
     counter carries the step cap. A pass walks every live path n steps, in
-    groups of rows that hold at most PASS_NORMALS normals.
+    groups of rows that hold at most PASS_NORMALS normals: 0.5 MB of walk,
+    generated, scaled, summed and tested while it is in a core's L2 cache.
     """
     spec = cfg.spec
     dim = spec.dim
@@ -304,8 +306,8 @@ def simulate_exit_times(cfg: SimConfig, workers: int = 1,
     Chunks of chunk_paths paths run in-process when workers is 1 or there
     is one chunk, and otherwise on the forked parts the module docstring
     describes, which see the module's state as it is at the call, or
-    in-process where _beside cannot fork. A failing part raises here, the
-    first in part order, and no child outlives the call.
+    in-process where _fork_context gives none. The first part to report an
+    error raises it here, and no child outlives the call.
     """
     if workers < 1 or block_steps < 1 or chunk_paths < 1:
         raise ValueError("workers, block_steps and chunk_paths must be positive")
@@ -316,14 +318,18 @@ def simulate_exit_times(cfg: SimConfig, workers: int = 1,
     def exit_time_chunks(part):  # the name a dead child's error gives
         return [_run_chunk(cfg, lo, hi, block_steps) for lo, hi in part]
 
-    if procs == 1:
+    if procs == 1 or _fork_context() is None:
         results = exit_time_chunks(spans)
     else:
+        from multiprocessing.connection import wait
+        done = [None] * procs
         with contextlib.ExitStack() as stack:
-            parts = [stack.enter_context(
-                _beside(exit_time_chunks, spans[i::procs]))
-                for i in range(procs)]
-            done = [part() for part in parts]
+            parts = {stack.enter_context(
+                _beside(exit_time_chunks, spans[i::procs])): i
+                for i in range(procs)}
+            while parts:  # take results as they come, so any error is prompt
+                for part in wait(list(parts)):
+                    done[parts.pop(part)] = part()
         results = [done[j % procs][j // procs] for j in range(len(spans))]
     stats = Counter()
     for _, chunk_stats in results:

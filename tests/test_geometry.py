@@ -12,6 +12,23 @@ from exitspec.geometry import shoelace_area
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
 
+def out_of_place_parity(poly, p):
+    """Even-odd ray casting as one expression per edge, with fresh
+    temporaries: the reference the in-place crossing_parity must match."""
+    v = np.asarray(poly.vertices)
+    x, y = p[:, 0], p[:, 1]
+    inside = np.zeros(len(p), dtype=bool)
+    n = len(v)
+    for i in range(n):
+        x1, y1 = v[i]
+        x2, y2 = v[(i + 1) % n]
+        cond = (y1 > y) != (y2 > y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xc = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+        inside ^= cond & (x < xc)
+    return inside
+
+
 class TestSpecs:
     def test_interval_measures(self):
         iv = es.Interval(0.25, 1.75)
@@ -60,6 +77,42 @@ class TestSpecs:
         pts = rng.uniform(-0.2, 2.2, size=(200, 2))
         par = ell.crossing_parity(pts)
         assert np.array_equal(par, ell.contains(pts, boundary_eps=0.0))
+
+    @pytest.mark.parametrize("name", ["L", "c8_square", "triangle"])
+    def test_crossing_parity_bits_of_the_out_of_place_expression(self, name):
+        """The in-place crossing test gives the mask of the expression
+        written out of place, bit for bit: on random points (x/0 against a
+        horizontal edge), on every vertex, exactly on the lines of
+        horizontal edges (0/0) and of vertical edges, and on slanted edges
+        at the crossing abscissa and one ulp either side of it."""
+        poly = {"L": es.Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2),
+                                 (0, 2)]),
+                "c8_square": es.perturb_polygon(
+                    es.Polygon(UNIT_SQUARE), (-1.0, 0.6, 1.0, -0.2), 0.07),
+                "triangle": es.Polygon([(0, 0), (3, 1), (1, 2.5)])}[name]
+        v = np.asarray(poly.vertices)
+        w = np.roll(v, -1, axis=0)
+        rng = np.random.default_rng(5)
+        lo, hi = v.min(axis=0) - 0.2, v.max(axis=0) + 0.2
+
+        def on_lines(axis, at):  # 50 points with coordinate axis = each at
+            pts = rng.uniform(lo, hi, (50 * len(at), 2))
+            pts[:, axis] = np.repeat(at, 50)
+            return pts
+
+        flat, upright = v[:, 1] == w[:, 1], v[:, 0] == w[:, 0]
+        slanted = np.flatnonzero(~(flat | upright))
+        i = rng.choice(slanted, 300) if len(slanted) else slanted
+        a, b = v[i], w[i]
+        y = a[:, 1] + rng.uniform(0, 1, len(i)) * (b[:, 1] - a[:, 1])
+        xc = a[:, 0] + (y - a[:, 1]) * (b[:, 0] - a[:, 0]) / (b[:, 1] - a[:, 1])
+        at_cross = [np.stack([np.nextafter(xc, side), y], axis=1)
+                    for side in (-np.inf, xc, np.inf)]
+        pts = np.concatenate([rng.uniform(lo, hi, (2000, 2)), v,
+                              on_lines(1, v[flat, 1]),
+                              on_lines(0, v[upright, 0]), *at_cross])
+        assert np.array_equal(poly.crossing_parity(pts),
+                              out_of_place_parity(poly, pts))
 
     @pytest.mark.parametrize("eps", [None, 0.0, 1e-12, 1e-3])
     def test_contains_measures_edges_on_odd_parity_only(self, eps):

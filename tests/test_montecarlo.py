@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,6 +191,38 @@ class TestDeterminism:
                 pos = walk[:, -1]
             assert np.array_equal(np.concatenate(pieces, axis=1), whole[:, 1:])
 
+    @pytest.mark.parametrize("fixed", [True, False],
+                             ids=["interval_x0_half", "c8_square_uniform"])
+    def test_pass_group_size_invariance(self, monkeypatch, mc_interval_small,
+                                        fixed):
+        """Groups of 1, 2^10, 2^16 and 2^19 normals per pass give the same
+        taus and the same counts of normals, steps and passes; the smaller
+        the groups, the more of them a run walks."""
+        if fixed:
+            cfg = mc_interval_small[0]
+        else:
+            cfg = es.SimConfig(nudged_square(), None, 300, 1e-4, seed=9)
+        walk_pass = mcmod._walk_pass
+        runs, calls = [], []
+        for normals in (1, 2 ** 10, 2 ** 16, 2 ** 19):
+            count = [0]
+
+            def counted(*args):
+                count[0] += 1
+                return walk_pass(*args)
+
+            monkeypatch.setattr(mcmod, "PASS_NORMALS", normals)
+            monkeypatch.setattr(mcmod, "_walk_pass", counted)
+            runs.append(es.simulate_exit_times(cfg))
+            calls.append(count[0])
+        assert np.isfinite(runs[0].taus).all()
+        for s in runs[1:]:
+            assert np.array_equal(s.taus, runs[0].taus)
+            for key in ("normals_drawn", "steps", "passes"):
+                assert s.stats[key] == runs[0].stats[key], key
+        assert calls == sorted(calls, reverse=True)
+        assert len(set(calls)) == len(calls), calls
+
     def test_seed_sensitivity(self, mc_interval_small):
         cfg, base = mc_interval_small
         other = es.SimConfig(cfg.spec, [0.5], cfg.paths, cfg.dt,
@@ -226,6 +259,12 @@ def dies_at_chunk_1(cfg, lo, hi, block_steps):
 def raises_at_0_sleeps_at_1(cfg, lo, hi, block_steps):
     if lo == 0:
         raise es.McError("chunk 0 failed")
+    time.sleep(60)
+
+
+def sleeps_at_0_raises_at_1(cfg, lo, hi, block_steps):
+    if lo == 4:
+        raise es.McError("chunk 1 failed")
     time.sleep(60)
 
 
@@ -277,6 +316,20 @@ class TestForkedParts:
         cfg = es.SimConfig(es.Interval(0, 1), [0.5], 8, 1e-3, seed=1)
         t = time.perf_counter()
         with pytest.raises(es.McError, match="chunk 0 failed"):
+            es.simulate_exit_times(cfg, workers=2, chunk_paths=4)
+        assert time.perf_counter() - t < 30
+        assert multiprocessing.active_children() == []
+
+    def test_error_in_a_later_part_ends_the_children_at_once(self,
+                                                             monkeypatch):
+        """Chunk 1 raises while chunk 0 sleeps: the parts' results are
+        taken as they arrive, so the error does not wait for chunk 0,
+        whose child is ended."""
+        two_cpus(monkeypatch)
+        monkeypatch.setattr(mcmod, "_run_chunk", sleeps_at_0_raises_at_1)
+        cfg = es.SimConfig(es.Interval(0, 1), [0.5], 8, 1e-3, seed=1)
+        t = time.perf_counter()
+        with pytest.raises(es.McError, match="chunk 1 failed"):
             es.simulate_exit_times(cfg, workers=2, chunk_paths=4)
         assert time.perf_counter() - t < 30
         assert multiprocessing.active_children() == []
@@ -358,6 +411,25 @@ class TestSamples:
             again = es.simulate_exit_times(cfg, workers=workers,
                                            chunk_paths=128)
             assert again.stats == st
+
+    def test_walk_memory_stays_in_cache_sized_groups(self):
+        """An in-process walk of 256 paths from x0 = 1/2 at dt = 1e-5 holds
+        one group of at most PASS_NORMALS normals at a time. After a first
+        run has paid the one-time allocations, its traced allocations peak
+        at 0.87 MiB, 0.5 of them one group's walk; groups of 2^19 normals
+        (4 MB walks) peaked at 5.18 MiB."""
+        es.simulate_exit_times(es.SimConfig(es.Interval(0, 1), [0.5], 4,
+                                            1e-3, seed=1))
+        cfg = es.SimConfig(es.Interval(0, 1), [0.5], 256, 1e-5, seed=3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            es.simulate_exit_times(cfg, workers=1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
 
     def test_worker_error_reaches_caller(self):
         """A chunk that raises in a worker process raises the same McError,
