@@ -373,7 +373,7 @@ def mc_survival(cfg: SimConfig, t: float, samples: ExitSamples = None) -> McEsti
     """P^{x0}(tau > t) with binomial standard error. A path cut by the step
     cap has survived past t when t < STEP_CAP * dt and counts as a
     survivor; at a later t, capped paths raise McError."""
-    if t <= 0:
+    if not t > 0:                       # a NaN fails it too
         raise ValueError("t must be positive")
     if samples is None:
         samples = simulate_exit_times(cfg)
@@ -390,7 +390,7 @@ def mc_laplace(cfg: SimConfig, s: float, samples: ExitSamples = None) -> McEstim
     """E^{x0}[exp(-s tau)], the Laplace transform at s. A path cut by the
     step cap counts as 0 when exp(-s * STEP_CAP * dt) underflows to 0.0;
     otherwise capped paths raise McError."""
-    if s < 0:
+    if not s >= 0:                      # a NaN fails it too
         raise ValueError("s must be >= 0")
     if samples is None:
         samples = simulate_exit_times(cfg)

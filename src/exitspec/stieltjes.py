@@ -11,8 +11,8 @@ the Jacobi matrix in exact rationals, and Golub-Welsch (one float64
 tridiagonal eigensolve) gives nodes and weights. The precision only picks
 the input moments and the cap's noise floor: "extended" takes the exact
 moments where the sequence carries them, under a far lower floor. Each
-sequence keeps its sections' singular values and one recurrence run per
-moment list in a table of its own, which serves every p.
+read-only sequence keeps its sections' singular values and one recurrence
+run per moment list in a table of its own, which serves every p.
 """
 
 from __future__ import annotations
@@ -82,10 +82,8 @@ def hankel_psd_check(ms: MomentSequence, p: int, eps_psd: float = 1e-9):
     problem. Pass iff both smallest eigenvalues >= -eps_psd * trace, compared
     in units of the largest diagonal magnitude, so the verdict holds where
     the trace of finite moments overflows (the reported trace is then inf).
-    Non-finite moments raise ValueError; nonpositive ones are left to the
+    The sequence's moments are finite; nonpositive ones are left to the
     eigenvalue test."""
-    ms.validate(positive=False)
-    ms._require("mu", positive=False)
     if p < 1:
         raise ValueError("p must be >= 1")
     if 2 * p > ms.n_max + 1:
@@ -107,8 +105,7 @@ def hankel_psd_check(ms: MomentSequence, p: int, eps_psd: float = 1e-9):
 
 def _table(ms: MomentSequence) -> dict:
     """The inversion table of ms, made on first use and dropped with it.
-    Each part holds the contents of the moment list it was built from, so
-    a mutated list rebuilds that part."""
+    ms is read-only, so each part is built once and never goes stale."""
     return vars(ms).setdefault("_stieltjes", {})
 
 
@@ -122,22 +119,21 @@ def _noise_floor(ms: MomentSequence) -> float:
     return floor
 
 
-def _sigma_mins(ms: MomentSequence, top: int) -> list:
-    """sigma_min of the balanced sections p = 1..top of ms.mu (the list
-    may go further), from the table. D is the diagonal, so every balanced
-    section is a leading block of the largest one, whatever its size."""
+def _sigma_mins(ms: MomentSequence) -> list:
+    """sigma_min of every balanced section p = 1..(n_max+1)//2 of ms.mu,
+    from the table. D is the diagonal, so every balanced section is a
+    leading block of the largest one."""
     table = _table(ms)
-    key = tuple(ms.mu)
-    hit = table.get("sigma")
-    sigma = hit[1] if hit is not None and hit[0] == key else []
-    if len(sigma) < top:
-        H = _hankel(ms.mu, top, 0)
+    if "sigma" not in table:
+        top = (ms.n_max + 1) // 2
+        # past a nonpositive mu_2k no section balances: NaN, which never passes
+        k = next((k for k in range(top) if not ms.mu[2 * k] > 0), top)
+        H = _hankel(ms.mu, k, 0)
         d = np.sqrt(np.diag(H))
         B = H / np.outer(d, d)
-        sigma = sigma + [float(np.linalg.svd(B[:p, :p], compute_uv=False)[-1])
-                         for p in range(len(sigma) + 1, top + 1)]
-        table["sigma"] = (key, sigma)
-    return sigma
+        table["sigma"] = [float(np.linalg.svd(B[:p, :p], compute_uv=False)[-1])
+                          for p in range(1, k + 1)] + [math.nan] * (top - k)
+    return table["sigma"]
 
 
 def atom_count_cap(ms: MomentSequence, p_max: int, floor: float = None) -> int:
@@ -150,16 +146,14 @@ def atom_count_cap(ms: MomentSequence, p_max: int, floor: float = None) -> int:
     floor overrides the provenance noise model; pass the arithmetic epsilon
     of the downstream factorization when the moments themselves are exact.
 
-    sigma_min does not depend on the floor, so each section's is computed
-    once per contents of ms.mu and kept on the sequence: later calls take
-    no SVD below the largest top asked for. The answer is the largest
-    passing p whatever the pass pattern.
+    sigma_min does not depend on the floor, so every section's is computed
+    on the first call and kept on the sequence: later calls take no SVD.
+    The answer is the largest passing p whatever the pass pattern.
     """
     if floor is None:
         floor = _noise_floor(ms)
-    top = min(p_max, (ms.n_max + 1) // 2)
-    sigma = _sigma_mins(ms, top)
-    for p in range(top, 0, -1):
+    sigma = _sigma_mins(ms)
+    for p in range(min(p_max, len(sigma)), 0, -1):
         if sigma[p - 1] >= CAP_SAFETY * floor:
             return p
     return 0
@@ -253,21 +247,14 @@ def _recurrence(mu, p):
 
 def _jacobi(ms: MomentSequence, source: str, p: int, floor: float):
     """The first p recurrence coefficients of ms.mu or ms.mu_exact (source),
-    from the table: one _chebyshev run per contents of the list, up to its
-    cap over every section under floor. Without mu_exact both precisions
-    read ms.mu and share that run."""
-    mu = getattr(ms, source)
-    key = tuple(mu)
+    from the table: one _chebyshev run per list, up to its cap over every
+    section under floor, which is the same for every call on source.
+    Without mu_exact both precisions read ms.mu and share that run."""
     table = _table(ms)
-    hit = table.get(source)
-    # a run shorter than asked ended at a nonpositive pivot and answers
-    # every p; a full run answers every p up to its length
-    if hit is None or hit[0] != key or (len(hit[1]) < p and not hit[3]):
-        ms._require(source)             # once per contents of the list
+    if source not in table:
         run = atom_count_cap(ms, (ms.n_max + 1) // 2, floor)
-        alpha, beta = _chebyshev(mu, run)
-        hit = table[source] = (key, alpha, beta, len(alpha) < run)
-    return _leading(p, hit[1], hit[2])
+        table[source] = _chebyshev(getattr(ms, source), run)
+    return _leading(p, *table[source])
 
 
 def invert_moments(ms: MomentSequence, p: int,
@@ -286,6 +273,7 @@ def invert_moments(ms: MomentSequence, p: int,
     floor, the threshold CAP_SAFETY * floor, and sigma_min of the balanced
     sections p = 1..p. The sigma_min and the recurrence coefficients come
     from the table on ms: one recurrence run per moment list serves every p.
+    A nonpositive moment raises ValueError naming it (ms.validate()).
     """
     if precision not in ("standard", "extended"):
         raise ValueError(f"unknown precision {precision!r}")
@@ -293,11 +281,7 @@ def invert_moments(ms: MomentSequence, p: int,
         raise ValueError("p must be >= 1")
     if 2 * p > ms.n_max + 1:
         raise ValueError(f"p={p} needs n_max >= {2*p-1}, have {ms.n_max}")
-    # A, mu and mu_exact are independent lists, so each one read is
-    # checked: A and mu (the cap and the residuals read it) here, the
-    # recurrence's list in _jacobi
     ms.validate()
-    ms._require("mu")
     exact = precision == "extended" and ms.mu_exact is not None
     # exact rational moments: the recurrence is exact and only the float64
     # tridiagonal eigensolve rounds, so cap against a floor far below the
@@ -330,7 +314,7 @@ def invert_moments(ms: MomentSequence, p: int,
         "moment_residuals": residuals,
         "max_moment_residual": max(residuals),
         "cap": {"floor": floor, "threshold": CAP_SAFETY * floor,
-                "sigma_min": _sigma_mins(ms, p)[:p]},
+                "sigma_min": _sigma_mins(ms)[:p]},
     }
     return am
 

@@ -385,6 +385,17 @@ class TestPipelines:
             "error: x0=[0.5, 0.5, 7.0] needs spec.dim=2 coordinates"]
         assert (tmp_path / "out" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("key, message", [
+        ("mc.t", "t must be positive"), ("mc.s", "s must be >= 0")])
+    def test_mc_nan_estimate_argument(self, tmp_path, capsys, key, message):
+        """A NaN survival time or Laplace argument is an error, not a
+        survival of 0 or a NaN estimate in mc_estimates.json."""
+        rc = run(["--pipeline", "mc"], tmp_path,
+                 config_text({**ALL_INTERVAL, key: "nan"}))
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert (tmp_path / "out" / "manifest.json").exists()
+
     def test_verify_beyond_moments_n_max(self, tmp_path):
         rc = run(["--pipeline", "verify"], tmp_path, config_text=(
             "domain.type = interval\n"

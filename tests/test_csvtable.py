@@ -134,7 +134,7 @@ class TestReaders:
         for n and A_n alone."""
         path = tmp_path / "moments.csv"
         path.write_text("n,A_n,mu_n,stderr\n0,1,9,0\n\n1,0.5,9,0\n")
-        assert es.MomentSequence.from_csv(path).A == [1.0, 0.5]
+        assert es.MomentSequence.from_csv(path).A == (1.0, 0.5)
         assert read_csv(path, "n,A_n") == [["0", "1"], ["1", "0.5"]]
 
     def test_compare_reports_a_bad_table(self, tmp_path, capsys):

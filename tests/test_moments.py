@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -83,8 +84,8 @@ class TestAnalytic:
             with pytest.raises(ValueError, match="n_max"):
                 es.analytic_moments(spec, -1)
         assert moments._BALL == tables
-        assert es.analytic_moments(es.Interval(0, 1), 0).A == [1.0]
-        assert es.analytic_moments(es.Disk(1), 0).A == [math.pi]
+        assert es.analytic_moments(es.Interval(0, 1), 0).A == (1.0,)
+        assert es.analytic_moments(es.Disk(1), 0).A == (math.pi,)
 
 
 SPECS = [es.Interval(0, 1), es.Interval(2, 2.37), es.Disk(1), es.Disk(0.3)]
@@ -109,12 +110,15 @@ def test_tables_do_not_depend_on_call_history(monkeypatch):
 
 
 def test_returned_moments_do_not_alias_the_tables():
+    """The exact moments handed out are a tuple, so no caller can write
+    through them into the ball tables."""
     for spec in (es.Interval(0, 1), es.Interval(0, 3), es.Disk(1),
                  es.Disk(0.3)):
-        want = list(es.analytic_moments(spec, 6).mu_exact)
+        want = es.analytic_moments(spec, 6).mu_exact
         got = es.analytic_moments(spec, 6).mu_exact
-        got[0] = Fraction(-1)
-        got.append(Fraction(7))
+        with pytest.raises(TypeError):
+            got[0] = Fraction(-1)
+        assert not hasattr(got, "append")
         assert es.analytic_moments(spec, 6).mu_exact == want
 
 
@@ -136,7 +140,7 @@ def test_tables_grow_safely_under_threads(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     for (_, n, mu), g in zip(jobs, got):
-        assert g == mu[:n + 1]
+        assert g == tuple(mu[:n + 1])
 
 
 @pytest.mark.parametrize("spec, d, dilate", [
@@ -194,11 +198,11 @@ def test_disk_moments_match_exact_oracle(k):
     j01 = float(jn_zeros(0, 1)[0])
     for n_max in (1, 9, 17, 25):
         ms = es.analytic_moments(es.Disk(R), n_max)
-        exact = [pi * Fraction(R) ** (2 * n + 2) * m
-                 for n, m in enumerate(want[:n_max + 1])]
+        exact = tuple(pi * Fraction(R) ** (2 * n + 2) * m
+                      for n, m in enumerate(want[:n_max + 1]))
         assert ms.mu_exact == exact
-        assert ms.A == [float(m) * math.factorial(n)
-                        for n, m in enumerate(exact)]
+        assert ms.A == tuple(float(m) * math.factorial(n)
+                             for n, m in enumerate(exact))
         assert ms.lambda1 == j01 * j01 / R ** 2
 
 
@@ -320,49 +324,91 @@ class TestPde:
 
 
 def test_validate_rejects_bad_sequences(capfd):
+    """A non-finite A_n is rejected at construction, before any LAPACK
+    call can complain on stderr; a nonpositive one is named by validate()
+    and the inversion, and left to the PSD check's eigenvalue test."""
     with pytest.raises(ValueError):
         es.MomentSequence([1.0, -0.5], "pde").validate()
-    A = es.analytic_moments(es.Interval(0, 1), 5).A
+    A = list(es.analytic_moments(es.Interval(0, 1), 5).A)
     for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="A_3 = .* is not finite"):
+            es.MomentSequence(A[:3] + [bad] + A[4:], "pde")
+    for bad in (0.0, -0.25):
         ms = es.MomentSequence(A[:3] + [bad] + A[4:], "pde")
-        with pytest.raises(ValueError, match="A_3 .* not finite"):
+        with pytest.raises(ValueError, match="A_3 = .* is not positive"):
             ms.validate()
         for precision in ("standard", "extended"):
             with pytest.raises(ValueError, match="A_3"):
                 es.invert_moments(ms, 3, precision)
-        with pytest.raises(ValueError, match="A_3"):
-            es.hankel_psd_check(ms, 3)
-    # rejected before any LAPACK call can complain on stderr
+        assert not es.hankel_psd_check(ms, 3)["pass"]
     assert capfd.readouterr().err == ""
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.25, 0.0])
 def test_checks_name_the_list_they_read(bad, capfd):
-    """A, mu and mu_exact are independent lists. With A valid and mu_3
-    made bad after a first inversion, the inversion, which reads mu, names
-    mu_3, and so does the PSD check unless the value is finite; the
-    extended inversion of exact moments names a bad mu_exact_3, which the
-    standard one never reads."""
-    ms = es.analytic_moments(es.Rectangle(1, 2.5), 9)
-    for precision in ("standard", "extended"):
-        es.invert_moments(ms, 3, precision)
-    ms.mu[3] = bad
-    ms.validate()
-    for precision in ("standard", "extended"):
-        with pytest.raises(ValueError, match="mu_3 = "):
-            es.invert_moments(ms, 3, precision)
-    if math.isfinite(bad):
-        es.hankel_psd_check(ms, 3)
-    else:
-        with pytest.raises(ValueError, match="mu_3 = .* not finite"):
-            es.hankel_psd_check(ms, 3)
+    """The checks name the list that holds the bad entry. A bad
+    mu_exact_3 is rejected at construction when it is not finite; a
+    nonpositive one is named by both inversions, since validate() covers
+    every list, while the PSD check, which reads mu, passes."""
     ms = es.analytic_moments(es.Interval(0, 1), 9)
-    es.invert_moments(ms, 3, "extended")
-    ms.mu_exact[3] = -ms.mu_exact[3]
-    with pytest.raises(ValueError, match="mu_exact_3 = .* not positive"):
-        es.invert_moments(ms, 3, "extended")
-    assert es.invert_moments(ms, 3, "standard").p == 3
+    exact = list(ms.mu_exact)
+    exact[3] = bad
+    args = (ms.A, "analytic", ms.lambda1)
+    if not math.isfinite(bad):
+        with pytest.raises(ValueError, match="mu_exact_3 = .* not finite"):
+            es.MomentSequence(*args, mu_exact=exact)
+    else:
+        ms = es.MomentSequence(*args, mu_exact=exact)
+        for precision in ("standard", "extended"):
+            with pytest.raises(ValueError,
+                               match="mu_exact_3 = .* not positive"):
+                es.invert_moments(ms, 3, precision)
+        assert es.hankel_psd_check(ms, 3)["pass"]
     assert capfd.readouterr().err == ""
+
+
+class TestReadOnly:
+    """A sequence is read-only and checked once, at construction."""
+
+    def test_entries_cannot_be_assigned_or_rebound(self):
+        ms = es.analytic_moments(es.Interval(0, 1), 5)
+        mc = es.MomentSequence(ms.A, "montecarlo", stderr=[0.0] * 6)
+        for seq, name in ((ms, "A"), (ms, "mu"), (ms, "mu_exact"),
+                          (mc, "stderr")):
+            value = getattr(seq, name)
+            assert type(value) is tuple
+            with pytest.raises(TypeError):
+                value[1] = 0.5
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(seq, name, list(value))
+        with pytest.raises(AttributeError, match="read-only"):
+            ms.lambda1 = 1.0
+        assert ms.A == es.analytic_moments(es.Interval(0, 1), 5).A
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_are_rejected_at_construction(self, bad):
+        ms = es.analytic_moments(es.Interval(0, 1), 5)
+        A = list(ms.A)
+        A[2] = bad
+        with pytest.raises(ValueError,
+                           match=re.escape(f"A_2 = {bad} is not finite")):
+            es.MomentSequence(A, "pde")
+        exact = list(ms.mu_exact)
+        exact[4] = bad
+        with pytest.raises(ValueError, match=re.escape(
+                f"mu_exact_4 = {bad} is not finite")):
+            es.MomentSequence(ms.A, "analytic", mu_exact=exact)
+
+    def test_underflowing_mu_is_named(self):
+        """A positive A_3 whose mu_3 = A_3/3! underflows to 0 passes the
+        construction, and the checks that read mu name mu_3."""
+        A = [1.0, 0.5, 0.25, 5e-324, 0.1, 0.05, 0.02, 0.01]
+        ms = es.MomentSequence(A, "pde", lambda1=1.0)
+        assert ms.A[3] > 0 and ms.mu[3] == 0.0
+        for check in (lambda: es.invert_moments(ms, 2),
+                      lambda: es.carleman_diagnostic(ms)):
+            with pytest.raises(ValueError, match="mu_3 = 0.0 is not positive"):
+                check()
 
 
 def test_lambda1_estimated_from_tail():
@@ -374,8 +420,13 @@ def test_lambda1_estimated_from_tail():
 
 @pytest.mark.parametrize("a1", [0.0, -0.0, -0.5, math.nan, math.inf])
 def test_bad_moment_is_named_not_divided_by(a1):
-    """The lambda_1 estimate needs a positive finite tail; without one it
-    stays None, and the checks name the bad moment."""
+    """The lambda_1 estimate needs a positive tail; without one it stays
+    None, and the checks name the bad moment. A non-finite one is named
+    at construction."""
+    if not math.isfinite(a1):
+        with pytest.raises(ValueError, match="A_1 = .* not finite"):
+            es.MomentSequence([1.0, a1], "pde")
+        return
     ms = es.MomentSequence([1.0, a1], "pde")
     assert ms.lambda1 is None
     for check in (ms.validate, lambda: es.carleman_diagnostic(ms)):
@@ -406,11 +457,20 @@ def test_carleman_diagnostic():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
 def test_carleman_diagnostic_checks_mu(bad):
-    """A mutated mu list is named, not read into a NaN or -1 margin."""
-    ms = es.analytic_moments(es.Interval(0, 1), 8)
-    ms.mu[4] = bad
-    with pytest.raises(ValueError, match="mu_4 = "):
-        es.carleman_diagnostic(ms)
+    """A bad A_4 is named, at construction when it is not finite, and so
+    is a positive A_4 whose mu_4 underflows to 0, not read into a NaN or
+    -1 margin."""
+    A = list(es.analytic_moments(es.Interval(0, 1), 8).A)
+    A[4] = bad
+    if not math.isfinite(bad):
+        with pytest.raises(ValueError, match="A_4 = .* not finite"):
+            es.MomentSequence(A, "analytic")
+    else:
+        with pytest.raises(ValueError, match="A_4 = .* not positive"):
+            es.carleman_diagnostic(es.MomentSequence(A, "analytic"))
+    A[4] = 5e-324
+    with pytest.raises(ValueError, match="mu_4 = 0.0 is not positive"):
+        es.carleman_diagnostic(es.MomentSequence(A, "analytic"))
 
 
 def test_log_convexity_of_normalized_moments():
@@ -429,6 +489,9 @@ def test_laplace_transform_nodal_values():
     r = math.sqrt(2 * s)
     exact = np.cosh(r * (x - 0.5)) / math.cosh(r / 2)
     assert np.abs(f.values - exact).max() < 1e-4
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="s must be >= 0"):
+            es.laplace_transform(g, bad)
 
 
 @given(n=st.integers(1, 12))

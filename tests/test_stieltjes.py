@@ -165,6 +165,20 @@ class TestCap:
         assert passes == [True, False, True]
         assert es.atom_count_cap(ms, 3, floor=1e-11) == 3
 
+    @pytest.mark.parametrize("mu4", [-1.0, 0.0])
+    def test_sections_past_a_nonpositive_even_moment_fail(self, mu4):
+        """A nonpositive mu_4 leaves the 3 x 3 balanced section undefined:
+        it never passes, whatever p_max the first call asks for, and the
+        sections before it answer as they do on their own."""
+        ms = es.MomentSequence([1, 1, 2, 6, 24 * mu4, 120], "pde")
+        for p_max in (1, 3, 2):
+            assert es.atom_count_cap(ms, p_max, floor=1e-11) == \
+                oracles.atom_count_cap_per_section(ms.mu, min(p_max, 2),
+                                                   1e-11)
+        ms = es.MomentSequence([1, 0.5, 1, 6, 24 * mu4, 120], "pde")
+        assert es.atom_count_cap(ms, 1, floor=0.0) == 1
+        assert es.atom_count_cap(ms, 3, floor=0.0) == 2
+
     def test_no_atoms_from_mu_0_alone(self):
         ms = es.MomentSequence([2.0], "analytic")
         assert ms.n_max == 0
@@ -409,13 +423,12 @@ class TestInvert:
         assert am.p == 4
 
 
-def fresh(ms):
-    """A new sequence, with no table, holding the contents of ms."""
-    new = es.MomentSequence(ms.A, ms.provenance, ms.lambda1,
-                            mu_exact=None if ms.mu_exact is None
-                            else list(ms.mu_exact), stderr=ms.stderr)
-    new.mu = list(ms.mu)
-    return new
+def fresh(ms, **changes):
+    """A new sequence, with no table, holding the contents of ms, with the
+    keyword arguments of MomentSequence in changes replaced."""
+    args = dict(A=ms.A, provenance=ms.provenance, lambda1=ms.lambda1,
+                mu_exact=ms.mu_exact, stderr=ms.stderr)
+    return es.MomentSequence(**{**args, **changes})
 
 
 def inversion(ms, p, precision):
@@ -433,7 +446,7 @@ def table_specs():
 
 class TestTable:
     """invert_moments and atom_count_cap read one table per sequence, built
-    on first use and keyed on the contents of its moment lists."""
+    on first use; the sequence is read-only, so the table needs no key."""
 
     CASES = [(p, precision) for p in range(1, 9)
              for precision in ("standard", "extended")]
@@ -466,32 +479,35 @@ class TestTable:
             assert len(runs) == (1 if ms.mu_exact is None else 2)
             assert len(svds) == (ms.n_max + 1) // 2
 
-    def test_mutated_moments_match_fresh_sequences(self):
-        """A, mu and mu_exact are plain lists; a table part built from other
-        contents is rebuilt."""
+    def test_sequences_keep_tables_of_their_own(self):
+        """A sequence made from the A of an inverted one, with other exact
+        moments or a doubled A_n, inverts and caps as a fresh sequence of
+        its contents does, and leaves the first one's answers alone."""
         ms = es.analytic_moments(es.Interval(0, 1), 17)
-        other = es.analytic_moments(es.Rectangle(1, 2.5), 17)
         before = [inversion(ms, p, prec) for p, prec in self.CASES]
-        ms.mu[:] = other.mu
-        after = [inversion(ms, p, prec) for p, prec in self.CASES]
+        exact = list(ms.mu_exact)
+        exact[5] *= 1 + Fraction(1, 10 ** 6)
+        near = fresh(ms, mu_exact=exact)
+        after = [inversion(near, p, prec) for p, prec in self.CASES]
         assert after != before
-        assert after == [inversion(fresh(ms), p, prec)
+        assert after == [inversion(fresh(near), p, prec)
                          for p, prec in self.CASES]
-        ms.mu_exact[5] *= 1 + Fraction(1, 10 ** 6)
-        for p, prec in self.CASES:
-            assert inversion(ms, p, prec) == inversion(fresh(ms), p, prec)
         for p_max in (8, 3):
+            A = list(ms.A)
+            A[2 * p_max - 2] *= 2
+            doubled = fresh(ms, A=A)
             for floor in (None, 1e-26):
-                ms.mu[2 * p_max - 2] *= 2
-                assert es.atom_count_cap(ms, p_max, floor) == \
-                    es.atom_count_cap(fresh(ms), p_max, floor)
+                assert es.atom_count_cap(doubled, p_max, floor) == \
+                    es.atom_count_cap(fresh(doubled), p_max, floor)
+        assert [inversion(ms, p, prec) for p, prec in self.CASES] == before
 
     def test_cached_inversion_error_matches_uncached(self):
         """Exact moments 2^n - 1/2 have a negative pivot at k = 1 under a
         cap of 3 from the float moments: every p above 1 raises the
         uncached message, and p = 1 still inverts."""
-        ms = es.analytic_moments(es.Interval(0, 1), 9)
-        ms.mu_exact = [Fraction(2) ** n - Fraction(1, 2) for n in range(10)]
+        ms = fresh(es.analytic_moments(es.Interval(0, 1), 9),
+                   mu_exact=[Fraction(2) ** n - Fraction(1, 2)
+                             for n in range(10)])
         assert es.atom_count_cap(ms, 3, 1e-26) == 3
         for p in (3, 2, 1, 3, 2):
             got = inversion(ms, p, "extended")
@@ -501,8 +517,9 @@ class TestTable:
                                f"(pivot k=1); reduce p")
 
     def test_repeated_caps_match_per_section_oracle(self, interval_pde_512):
-        """Mixed p_max and floors on one sequence: the table extends from a
-        small top and answers every later call."""
+        """Mixed p_max and floors on one sequence: the table holds every
+        section from the first call, whatever its p_max, and answers every
+        later call."""
         calls = [(p_max, floor) for p_max in range(0, 13)
                  for floor in (None, 2.3e-16, 1e-26, 1e-9, 1e-3)]
         random.Random(3).shuffle(calls)
