@@ -254,7 +254,7 @@ def _invert_stage(r: Runner, ms):
     if ms.n_max < 2 * p - 1:
         raise ConfigError(f"invert.p = {p} needs moments.n_max >= "
                           f"{2 * p - 1}, have {ms.n_max}")
-    psd = hankel_psd_check(ms, min(p, (len(ms.mu) // 2)))
+    psd = hankel_psd_check(ms, p)
     if not psd["pass"]:
         print(f"invert: Hankel PSD check failed "
               f"(min eig H0 {psd['H0_min_eig']:.3g}, "
@@ -430,16 +430,16 @@ def run_perturb(r: Runner):
     return 0
 
 
-def compare_spectra(sa: SpectralData, sb: SpectralData, tol, zero_tol=1e-6):
+def compare_spectra(sa: SpectralData, sb: SpectralData, tol):
     """Match rows of sa against sb by relative eigenvalue distance.
 
-    Zero-weight rows on either side are dropped first (they carry no mass
-    and a recovered measure cannot see them). Gate is on eigenvalue
+    Rows that either side's essential() drops go first (they carry no
+    mass and a recovered measure cannot see them). Gate is on eigenvalue
     agreement; weight deviations are reported but do not unmatch a row,
     since a truncated measure lumps the spectral tail into its last atom.
     """
-    rows_a = sa.essential(zero_tol).entries
-    rows_b = sb.essential(zero_tol).entries
+    rows_a = sa.essential().entries
+    rows_b = sb.essential().entries
     matched, i, j = [], 0, 0
     while i < len(rows_a) and j < len(rows_b):
         la, ma, wa = rows_a[i]

@@ -15,7 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from .csvtable import read_csv, write_csv
-from .geometry import Interval, Rectangle, Disk, DomainSpec, Grid, build_radial_grid
+from .geometry import (Interval, Rectangle, Disk, DomainSpec, Grid,
+                       build_grid, build_radial_grid)
 from .discrete_ops import (Field, SolverError, assemble_half_laplacian,
                            exact_sum, integrate, solve_poisson)
 
@@ -30,8 +31,9 @@ class MomentSequence:
 
     A sequence is read-only: A, mu, mu_exact and stderr are tuples, and
     rebinding an attribute raises AttributeError. Its entries are checked
-    once, here: a non-finite A_n or mu_exact_n raises ValueError, and
-    validate() names the first entry of A, mu or mu_exact not positive.
+    once, here: a non-finite A_n or mu_exact_n, or a stderr without one
+    finite, nonnegative entry per order, raises ValueError, and validate()
+    names the first entry of A, mu or mu_exact not positive.
     """
 
     def __init__(self, A, provenance, lambda1=None, mu_exact=None, stderr=None):
@@ -45,6 +47,13 @@ class MomentSequence:
                     raise ValueError(f"{name}_{n} = {a} is not finite")
                 if bad is None and not a > 0:
                     bad = f"{name}_{n} = {a} is not positive"
+        stderr = None if stderr is None else tuple(map(float, stderr))
+        if stderr is not None and len(stderr) != len(A):
+            raise ValueError(f"stderr has {len(stderr)} entries, not {len(A)}")
+        for n, s in enumerate(stderr or ()):
+            if not 0 <= s < math.inf:       # a NaN fails it too
+                raise ValueError(f"stderr_{n} = {s} is "
+                                 + ("negative" if s < 0 else "not finite"))
         n = len(A) - 1
         # A_{n+1}/((n+1) A_n) decreases to 2/lambda_1 from above; a
         # nonpositive tail leaves it None, for validate() to name
@@ -52,8 +61,7 @@ class MomentSequence:
             lambda1 = 2.0 * n * A[n - 1] / A[n]
         vars(self).update(
             A=A, n_max=n, mu=mu, provenance=provenance, mu_exact=mu_exact,
-            stderr=None if stderr is None else tuple(stderr),
-            lambda1=lambda1, _bad=bad)
+            stderr=stderr, lambda1=lambda1, _bad=bad)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{name}: a MomentSequence is read-only")
@@ -114,7 +122,7 @@ def moment_sequence(fields, lambda1=None) -> MomentSequence:
     return MomentSequence(A, "pde", lambda1)
 
 
-def carleman_diagnostic(ms: MomentSequence, eps_tol: float = 1e-9):
+def carleman_diagnostic(ms: MomentSequence):
     """Check mu_{2n}^{-1/(2n)} >= (lambda1/2) * A_0^{-1/(2n)} for all 2n <= n_max.
 
     Returns {"holds": bool, "margins": list}; margins are relative,
@@ -132,7 +140,7 @@ def carleman_diagnostic(ms: MomentSequence, eps_tol: float = 1e-9):
         rhs = (ms.lambda1 / 2.0) * ms.A[0] ** (-1.0 / (2 * n))
         margins.append(lhs / rhs - 1.0)
         n += 1
-    return {"holds": all(m >= -eps_tol for m in margins), "margins": margins}
+    return {"holds": all(m >= -1e-9 for m in margins), "margins": margins}
 
 
 def laplace_transform(grid: Grid, s: float, tol: float = 1e-11) -> Field:
@@ -347,17 +355,9 @@ def analytic_moments(spec: DomainSpec, n_max: int) -> MomentSequence:
     raise ValueError(f"no closed-form moments for {spec!r}")
 
 
-def pde_moments(spec: DomainSpec, h: float, n_max: int,
-                tol: float = 1e-11, radial: bool = True):
-    """Convenience pipeline: grid + recursion + integration.
-
-    Disks route through the radial reduction by default (second order);
-    pass radial=False to force the stair-step 2D grid.
-    """
-    from .geometry import build_grid
-    if isinstance(spec, Disk) and radial:
-        grid = build_radial_grid(spec, h)
-    else:
-        grid = build_grid(spec, h)
-    fields = exit_moment_fields(grid, n_max, tol=tol)
-    return moment_sequence(fields), fields, grid
+def pde_moments(spec: DomainSpec, h: float, n_max: int):
+    """Convenience pipeline: grid + recursion + integration. Disks take the
+    radial reduction (second order), other domains their lattice grid."""
+    build = build_radial_grid if isinstance(spec, Disk) else build_grid
+    fields = exit_moment_fields(build(spec, h), n_max)
+    return moment_sequence(fields), fields, fields[0].grid

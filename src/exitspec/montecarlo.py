@@ -10,23 +10,27 @@ Walk rule: x_j = fl(x_{j-1} + fl(sqrt(dt) * z_j)), one rounded addition per
 step from the carried position, so where a walk is split into passes cannot
 change a single bit of it. tau = j * dt at the first j with x_j outside D.
 
-Passes: paths run in chunks of chunk_paths. A chunk's first pass walks its
-live paths FIRST_PASS steps, and each later pass doubles that up to
-block_steps, cut to the steps left under STEP_CAP. A pass works through the
-live paths in groups of at most PASS_NORMALS = 2^16 normals (paths x steps x
-dim), a 0.5 MB walk that stays in a core's L2 cache. A path is NaN exactly
-when it has not left D within STEP_CAP steps.
+Passes: paths run in chunks of CHUNK_PATHS, the last one shorter. A
+chunk's first pass walks its live paths FIRST_PASS steps, and each later
+pass doubles that up to BLOCK_STEPS, cut to the steps left under STEP_CAP.
+A pass works through the live paths in groups of at most PASS_NORMALS =
+2^16 normals (paths x steps x dim), a 0.5 MB walk that stays in a core's
+L2 cache. A path is NaN exactly when it has not left D within STEP_CAP
+steps.
 
 Workers: with workers > 1, chunk i goes to part i mod procs, procs =
 min(workers, chunks), and each part runs on a process forked by _beside,
 the package's one helper that starts a process (the CLI's `all` runs its
-heat curve with it too); the parent walks no chunk itself. Threads would
+heat curve with it too); the parent walks no chunk itself. So no more
+processes are forked than there are chunks, and a run of one chunk stays
+in-process: 1000 interval paths at x0 = 1/2, dt = 1e-3 take about 37 ms
+in-process and 53 ms cut in two forked halves (2 cores). Threads would
 wait on one another (about 18 % of their time on 2 cores): np.cumsum, the
-walk's running sum, holds the GIL for its whole call. Fork, not spawn: a
-spawned worker re-imports numpy and this package, about 0.2 s, more than
-a small run takes. In a caller that runs threads of its own, a fork can
-deadlock on a lock another thread held at that moment, and Python >= 3.12
-warns on such a fork.
+walk's running sum, holds the GIL for its whole call. Fork, not spawn: a spawned worker
+re-imports numpy and this package, about 0.2 s, more than a small run
+takes. In a caller that runs threads of its own, a fork can deadlock on a
+lock another thread held at that moment, and Python >= 3.12 warns on such
+a fork.
 
 Reproducibility contract: path i draws from a Philox stream keyed
 (base_seed mod 2^64, i), consumed in simulation order (start-point
@@ -51,7 +55,9 @@ from .moments import MomentSequence
 
 STEP_CAP = 10 ** 8      # a path not out of D after this many steps is NaN
 FIRST_PASS = 64         # steps in a chunk's first pass
+BLOCK_STEPS = 4096      # steps in a chunk's longest pass
 PASS_NORMALS = 2 ** 16  # normals per group of a pass (paths x steps x dim)
+CHUNK_PATHS = 1024      # most paths in a chunk
 
 
 class McError(RuntimeError):
@@ -245,7 +251,7 @@ def _walk_pass(spec, gens, pos, n, sqdt):
     return first, walk[:, -1].copy()  # a view would keep walk alive
 
 
-def _run_chunk(cfg, lo, hi, block_steps):
+def _run_chunk(cfg, lo, hi):
     """Simulate paths [lo, hi); returns their taus and the chunk's stats.
 
     All live paths of a chunk have taken the same number of steps, so one
@@ -270,7 +276,7 @@ def _run_chunk(cfg, lo, hi, block_steps):
     live = gens
     out = np.full(count, np.nan)
     done = steps = drawn = passes = 0
-    L = min(FIRST_PASS, block_steps)
+    L = min(FIRST_PASS, BLOCK_STEPS)
     while live and done < STEP_CAP:
         k = len(live)
         n = min(L, STEP_CAP - done)
@@ -289,34 +295,32 @@ def _run_chunk(cfg, lo, hi, block_steps):
         done += n
         drawn += k * n * dim
         passes += 1
-        L = min(2 * L, block_steps)
+        L = min(2 * L, BLOCK_STEPS)
     steps += len(live) * done
     stats = {"normals_drawn": drawn, "steps": steps, "passes": passes,
              "step_cap_hits": len(live)}
     return out, stats
 
 
-def simulate_exit_times(cfg: SimConfig, workers: int = 1,
-                        block_steps: int = 4096, chunk_paths: int = 1024):
-    """One exit time per path. Results do not depend on workers, block_steps,
-    or chunk_paths; those only schedule the work. block_steps is the longest
-    pass: passes start at FIRST_PASS steps and double up to it. The returned
-    samples' stats are summed over the chunks in path order.
+def simulate_exit_times(cfg: SimConfig, workers: int = 1):
+    """One exit time per path; workers only schedules the work. The
+    returned samples' stats are summed over the chunks in path order, and
+    neither they nor the taus depend on workers.
 
-    Chunks of chunk_paths paths run in-process when workers is 1 or there
+    Chunks of CHUNK_PATHS paths run in-process when workers is 1 or there
     is one chunk, and otherwise on the forked parts the module docstring
     describes, which see the module's state as it is at the call, or
     in-process where _fork_context gives none. The first part to report an
     error raises it here, and no child outlives the call.
     """
-    if workers < 1 or block_steps < 1 or chunk_paths < 1:
-        raise ValueError("workers, block_steps and chunk_paths must be positive")
-    spans = [(lo, min(lo + chunk_paths, cfg.paths))
-             for lo in range(0, cfg.paths, chunk_paths)]
+    if workers < 1:
+        raise ValueError("workers must be positive")
+    spans = [(lo, min(lo + CHUNK_PATHS, cfg.paths))
+             for lo in range(0, cfg.paths, CHUNK_PATHS)]
     procs = min(workers, len(spans))
 
     def exit_time_chunks(part):  # the name a dead child's error gives
-        return [_run_chunk(cfg, lo, hi, block_steps) for lo, hi in part]
+        return [_run_chunk(cfg, lo, hi) for lo, hi in part]
 
     if procs == 1 or _fork_context() is None:
         results = exit_time_chunks(spans)
@@ -369,14 +373,12 @@ def mc_moments(samples: ExitSamples, n_max: int) -> MomentSequence:
     return MomentSequence(A, "montecarlo", stderr=se)
 
 
-def mc_survival(cfg: SimConfig, t: float, samples: ExitSamples = None) -> McEstimate:
+def mc_survival(cfg: SimConfig, t: float, samples: ExitSamples) -> McEstimate:
     """P^{x0}(tau > t) with binomial standard error. A path cut by the step
     cap has survived past t when t < STEP_CAP * dt and counts as a
     survivor; at a later t, capped paths raise McError."""
     if not t > 0:                       # a NaN fails it too
         raise ValueError("t must be positive")
-    if samples is None:
-        samples = simulate_exit_times(cfg)
     if samples.excluded and not t < STEP_CAP * cfg.dt:
         raise McError(f"{samples.excluded} paths hit the step cap before "
                       f"t={t:g}; their survival is unknown")
@@ -386,14 +388,12 @@ def mc_survival(cfg: SimConfig, t: float, samples: ExitSamples = None) -> McEsti
     return McEstimate(phat, se, n, cfg.dt, f"survival(t={t:g})")
 
 
-def mc_laplace(cfg: SimConfig, s: float, samples: ExitSamples = None) -> McEstimate:
+def mc_laplace(cfg: SimConfig, s: float, samples: ExitSamples) -> McEstimate:
     """E^{x0}[exp(-s tau)], the Laplace transform at s. A path cut by the
     step cap counts as 0 when exp(-s * STEP_CAP * dt) underflows to 0.0;
     otherwise capped paths raise McError."""
     if not s >= 0:                      # a NaN fails it too
         raise ValueError("s must be >= 0")
-    if samples is None:
-        samples = simulate_exit_times(cfg)
     if samples.excluded and math.exp(-s * STEP_CAP * cfg.dt) != 0.0:
         raise McError(f"{samples.excluded} paths hit the step cap; "
                       f"exp(-s tau) at s={s:g} is not 0 for them")

@@ -76,10 +76,10 @@ def _hankel(mu, p, shift):
     return np.array([[mu[i + j + shift] for j in range(p)] for i in range(p)])
 
 
-def hankel_psd_check(ms: MomentSequence, p: int, eps_psd: float = 1e-9):
+def hankel_psd_check(ms: MomentSequence, p: int):
     """Positive semidefiniteness of H_p = [mu_{i+j}] and the shifted
     H'_p = [mu_{i+j+1}]: the solvability certificate for the Stieltjes
-    problem. Pass iff both smallest eigenvalues >= -eps_psd * trace, compared
+    problem. Pass iff both smallest eigenvalues >= -1e-9 * trace, compared
     in units of the largest diagonal magnitude, so the verdict holds where
     the trace of finite moments overflows (the reported trace is then inf).
     The sequence's moments are finite; nonpositive ones are left to the
@@ -98,7 +98,7 @@ def hankel_psd_check(ms: MomentSequence, p: int, eps_psd: float = 1e-9):
         report[name + "_min_eig"] = float(ev[0])
         with np.errstate(over="ignore"):
             report[name + "_trace"] = float(np.trace(H))
-        if float(ev[0]) / m < -eps_psd * float(np.sum(diag / m)):
+        if float(ev[0]) / m < -1e-9 * float(np.sum(diag / m)):
             report["pass"] = False
     return report
 
@@ -288,10 +288,9 @@ def invert_moments(ms: MomentSequence, p: int,
     # provenance one (the balanced sigma_min is still measured in doubles,
     # which quietly limits p to sections it can certify)
     floor = 1e-26 if exact else _noise_floor(ms)
-    cap = atom_count_cap(ms, p, floor)
-    if cap < 1:
+    p_eff = atom_count_cap(ms, p, floor)
+    if p_eff < 1:
         raise InversionError("moment noise floor leaves no recoverable atoms")
-    p_eff = min(p, cap)
     source = "mu_exact" if exact else "mu"
     nodes, weights = _golub_welsch(*_jacobi(ms, source, p_eff, floor))
 

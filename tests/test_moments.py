@@ -399,6 +399,21 @@ class TestReadOnly:
                 f"mu_exact_4 = {bad} is not finite")):
             es.MomentSequence(ms.A, "analytic", mu_exact=exact)
 
+    @pytest.mark.parametrize("stderr, message", [
+        ((0, 0.05, math.nan, 0.1), "stderr_2 = nan is not finite"),
+        ((0, 0.05, 0.1, math.nan), "stderr_3 = nan is not finite"),
+        ((0, 0.05, math.inf, 0.1), "stderr_2 = inf is not finite"),
+        ((0, 0.05), "stderr has 2 entries, not 4"),
+        ((0, -0.05, 0.1, 0.1), "stderr_1 = -0.05 is negative"),
+    ])
+    def test_bad_stderr_is_rejected_at_construction(self, stderr, message):
+        """stderr needs one finite, nonnegative entry per order: the cap's
+        noise floor is the largest stderr_n / A_n, and a max over a NaN
+        ignores it or returns it by where it sits."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            es.MomentSequence((1, 0.5, 0.5, 0.75), "montecarlo",
+                              stderr=stderr)
+
     def test_underflowing_mu_is_named(self):
         """A positive A_3 whose mu_3 = A_3/3! underflows to 0 passes the
         construction, and the checks that read mu name mu_3."""

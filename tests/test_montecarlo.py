@@ -1,7 +1,9 @@
+import contextlib
 import hashlib
 import json
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
 import time
 import tracemalloc
@@ -51,10 +53,9 @@ class TestConfig:
             with pytest.raises(ValueError):
                 es.SimConfig(iv, [0.5], 10, 1e-3, seed=seed)
         cfg = es.SimConfig(iv, [0.5], 10, 1e-3, seed=1)
-        for kw in ({"block_steps": 0}, {"chunk_paths": 0}, {"workers": 0},
-                   {"workers": -2}):
+        for workers in (0, -2):
             with pytest.raises(ValueError, match="must be positive"):
-                es.simulate_exit_times(cfg, **kw)
+                es.simulate_exit_times(cfg, workers=workers)
 
     @pytest.mark.parametrize("spec, x0", [
         (es.Rectangle(1, 1), [0.5, 0.5, 7]),
@@ -82,23 +83,26 @@ class TestConfig:
 
 
 class TestDeterminism:
-    def test_schedule_invariance(self, mc_interval_small):
+    def test_schedule_invariance(self, monkeypatch, mc_interval_small):
         """Identical draws no matter how the work is sliced: per-path
         streams make the estimate a pure function of (seed, paths, dt)."""
         cfg, base = mc_interval_small
         for workers, bs, cp in [(1, 128, 64), (3, 256, 37), (4, 977, 499)]:
-            again = es.simulate_exit_times(cfg, workers=workers,
-                                           block_steps=bs, chunk_paths=cp)
+            monkeypatch.setattr(mcmod, "BLOCK_STEPS", bs)
+            monkeypatch.setattr(mcmod, "CHUNK_PATHS", cp)
+            again = es.simulate_exit_times(cfg, workers=workers)
             assert np.array_equal(base.taus, again.taus)
         # uniform starts on a polygon: batched start-point rejection too
+        monkeypatch.undo()
         cfg = es.SimConfig(nudged_square(), None, 64, 1e-3, seed=8)
         base = es.simulate_exit_times(cfg).taus
         assert np.isfinite(base).all()
         for workers in (1, 2, 3):
             for bs in (1, 64, 4096):
                 for cp in (1, 37, 1024):
-                    again = es.simulate_exit_times(
-                        cfg, workers=workers, block_steps=bs, chunk_paths=cp)
+                    monkeypatch.setattr(mcmod, "BLOCK_STEPS", bs)
+                    monkeypatch.setattr(mcmod, "CHUNK_PATHS", cp)
+                    again = es.simulate_exit_times(cfg, workers=workers)
                     assert np.array_equal(base, again.taus), (workers, bs, cp)
 
     def test_without_fork_chunks_run_in_process(self, monkeypatch,
@@ -113,8 +117,9 @@ class TestDeterminism:
         monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                             lambda: ["spawn"])
         monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        monkeypatch.setattr(mcmod, "CHUNK_PATHS", 64)
         cfg, base = mc_interval_small
-        again = es.simulate_exit_times(cfg, workers=2, chunk_paths=64)
+        again = es.simulate_exit_times(cfg, workers=2)
         assert np.array_equal(base.taus, again.taus)
 
     def test_on_one_cpu_chunks_run_in_process(self, monkeypatch,
@@ -129,8 +134,9 @@ class TestDeterminism:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
         monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        monkeypatch.setattr(mcmod, "CHUNK_PATHS", 64)
         cfg, base = mc_interval_small
-        again = es.simulate_exit_times(cfg, workers=2, chunk_paths=64)
+        again = es.simulate_exit_times(cfg, workers=2)
         assert np.array_equal(base.taus, again.taus)
 
     def test_pinned_bits(self):
@@ -250,19 +256,19 @@ RUN_CHUNK = mcmod._run_chunk
 
 # stand-ins for _run_chunk on chunks of 4 paths; module-level, so that they
 # serve a runner that pickles its tasks as well as one that forks them
-def dies_at_chunk_1(cfg, lo, hi, block_steps):
+def dies_at_chunk_1(cfg, lo, hi):
     if lo == 4:
         os._exit(3)
-    return RUN_CHUNK(cfg, lo, hi, block_steps)
+    return RUN_CHUNK(cfg, lo, hi)
 
 
-def raises_at_0_sleeps_at_1(cfg, lo, hi, block_steps):
+def raises_at_0_sleeps_at_1(cfg, lo, hi):
     if lo == 0:
         raise es.McError("chunk 0 failed")
     time.sleep(60)
 
 
-def sleeps_at_0_raises_at_1(cfg, lo, hi, block_steps):
+def sleeps_at_0_raises_at_1(cfg, lo, hi):
     if lo == 4:
         raise es.McError("chunk 1 failed")
     time.sleep(60)
@@ -278,15 +284,16 @@ class TestForkedParts:
                                           mc_interval_small):
         cfg, base = mc_interval_small
         two_cpus(monkeypatch)
+        monkeypatch.setattr(mcmod, "CHUNK_PATHS", 64)
         log = tmp_path / "chunks"
 
-        def spy(cfg, lo, hi, block_steps):
+        def spy(cfg, lo, hi):
             with open(log, "a") as fh:
                 fh.write(f"{os.getpid()} {lo}\n")
-            return RUN_CHUNK(cfg, lo, hi, block_steps)
+            return RUN_CHUNK(cfg, lo, hi)
 
         monkeypatch.setattr(mcmod, "_run_chunk", spy)
-        again = es.simulate_exit_times(cfg, workers=2, chunk_paths=64)
+        again = es.simulate_exit_times(cfg, workers=2)
         assert np.array_equal(base.taus, again.taus)
         assert multiprocessing.active_children() == []
         parts = {}
@@ -296,27 +303,57 @@ class TestForkedParts:
         assert sorted(parts.values()) == [[0, 128, 256, 384],
                                           [64, 192, 320, 448]]
 
+    def test_no_more_parts_than_chunks(self, monkeypatch):
+        """However many workers are asked for, one part is made per chunk
+        at most: 3000 paths on 64 workers make three parts, and 1000 paths
+        one chunk, run in-process. A stand-in for _beside counts the parts
+        and runs them in-process, so no process is started."""
+        two_cpus(monkeypatch)
+        made = []
+
+        @contextlib.contextmanager
+        def counting_beside(fn, *args):
+            made.append(args[0])
+            value = fn(*args)
+            result = lambda: value  # noqa: E731
+            result.fileno = lambda: 0
+            yield result
+
+        monkeypatch.setattr(mcmod, "_beside", counting_beside)
+        monkeypatch.setattr(multiprocessing.connection, "wait",
+                            lambda parts: parts)
+        for paths, parts in ((3000, [[(0, 1024)], [(1024, 2048)],
+                                     [(2048, 3000)]]), (1000, [])):
+            made.clear()
+            cfg = es.SimConfig(es.Interval(0, 1), [0.5], paths, 1e-3, seed=2)
+            samples = es.simulate_exit_times(cfg, workers=64)
+            assert made == parts
+            assert np.array_equal(samples.taus,
+                                  es.simulate_exit_times(cfg).taus)
+
     def test_child_that_dies_is_an_error(self, monkeypatch):
         """A part whose child exits before sending its chunks raises
         ChildProcessError, naming the work and the exit code."""
         two_cpus(monkeypatch)
+        monkeypatch.setattr(mcmod, "CHUNK_PATHS", 4)
         monkeypatch.setattr(mcmod, "_run_chunk", dies_at_chunk_1)
         cfg = es.SimConfig(es.Interval(0, 1), [0.5], 8, 1e-3, seed=1)
         with pytest.raises(ChildProcessError, match=(
                 r"^exit_time_chunks exited with code 3 on its forked "
                 r"process before sending a result$")):
-            es.simulate_exit_times(cfg, workers=2, chunk_paths=4)
+            es.simulate_exit_times(cfg, workers=2)
         assert multiprocessing.active_children() == []
 
     def test_error_ends_the_children_at_once(self, monkeypatch):
         """Chunk 0 raises while chunk 1 sleeps: the error is raised without
         waiting for chunk 1, whose child is ended."""
         two_cpus(monkeypatch)
+        monkeypatch.setattr(mcmod, "CHUNK_PATHS", 4)
         monkeypatch.setattr(mcmod, "_run_chunk", raises_at_0_sleeps_at_1)
         cfg = es.SimConfig(es.Interval(0, 1), [0.5], 8, 1e-3, seed=1)
         t = time.perf_counter()
         with pytest.raises(es.McError, match="chunk 0 failed"):
-            es.simulate_exit_times(cfg, workers=2, chunk_paths=4)
+            es.simulate_exit_times(cfg, workers=2)
         assert time.perf_counter() - t < 30
         assert multiprocessing.active_children() == []
 
@@ -326,11 +363,12 @@ class TestForkedParts:
         taken as they arrive, so the error does not wait for chunk 0,
         whose child is ended."""
         two_cpus(monkeypatch)
+        monkeypatch.setattr(mcmod, "CHUNK_PATHS", 4)
         monkeypatch.setattr(mcmod, "_run_chunk", sleeps_at_0_raises_at_1)
         cfg = es.SimConfig(es.Interval(0, 1), [0.5], 8, 1e-3, seed=1)
         t = time.perf_counter()
         with pytest.raises(es.McError, match="chunk 1 failed"):
-            es.simulate_exit_times(cfg, workers=2, chunk_paths=4)
+            es.simulate_exit_times(cfg, workers=2)
         assert time.perf_counter() - t < 30
         assert multiprocessing.active_children() == []
 
@@ -368,9 +406,10 @@ class TestSamples:
         exp(-s * 0.16) underflows. Where its value is unknown, it raises.
         The patched cap reaches forked workers too."""
         monkeypatch.setattr(mcmod, "STEP_CAP", 16)
+        monkeypatch.setattr(mcmod, "CHUNK_PATHS", 8)
         cfg = es.SimConfig(es.Interval(0, 1), [0.5], 32, 1e-2, seed=3)
         for workers in (1, 2):
-            s = es.simulate_exit_times(cfg, workers=workers, chunk_paths=8)
+            s = es.simulate_exit_times(cfg, workers=workers)
             assert s.excluded == 23
             est = es.mc_survival(cfg, 0.1, samples=s)
             assert est.paths == 32
@@ -389,18 +428,22 @@ class TestSamples:
         steps, however the passes are sized, on forked workers as well."""
         monkeypatch.setattr(mcmod, "STEP_CAP", 16)
         cfg = es.SimConfig(es.Interval(0, 1), [0.5], 32, 1e-2, seed=3)
-        runs = [es.simulate_exit_times(cfg, workers=workers, block_steps=bs,
-                                       chunk_paths=cp)
-                for workers, cp in ((1, 1024), (2, 8)) for bs in (8, 64, 4096)]
+        runs = []
+        for workers, cp in ((1, 1024), (2, 8)):
+            for bs in (8, 64, 4096):
+                monkeypatch.setattr(mcmod, "BLOCK_STEPS", bs)
+                monkeypatch.setattr(mcmod, "CHUNK_PATHS", cp)
+                runs.append(es.simulate_exit_times(cfg, workers=workers))
         for s in runs:
             assert np.array_equal(s.taus, runs[0].taus, equal_nan=True)
             assert s.stats["step_cap_hits"] == s.excluded
         assert 0 < runs[0].excluded < 32
         assert np.all(runs[0].finite() <= 16 * cfg.dt)
 
-    def test_stats_count_the_walk(self):
+    def test_stats_count_the_walk(self, monkeypatch):
+        monkeypatch.setattr(mcmod, "CHUNK_PATHS", 128)
         cfg = es.SimConfig(nudged_square(), None, 300, 1e-3, seed=6)
-        s = es.simulate_exit_times(cfg, chunk_paths=128)
+        s = es.simulate_exit_times(cfg)
         st = s.stats
         assert set(st) == {"normals_drawn", "steps", "passes", "step_cap_hits"}
         assert st["step_cap_hits"] == s.excluded == 0
@@ -408,8 +451,7 @@ class TestSamples:
         assert st["normals_drawn"] >= cfg.spec.dim * st["steps"]
         assert st["passes"] >= 3  # at least one per chunk
         for workers in (2, 3):
-            again = es.simulate_exit_times(cfg, workers=workers,
-                                           chunk_paths=128)
+            again = es.simulate_exit_times(cfg, workers=workers)
             assert again.stats == st
 
     def test_walk_memory_stays_in_cache_sized_groups(self):
@@ -431,12 +473,13 @@ class TestSamples:
             tracemalloc.stop()
         assert peak < 1.5 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
 
-    def test_worker_error_reaches_caller(self):
+    def test_worker_error_reaches_caller(self, monkeypatch):
         """A chunk that raises in a worker process raises the same McError,
         with its message, in the caller."""
+        monkeypatch.setattr(mcmod, "CHUNK_PATHS", 4)
         cfg = es.SimConfig(UnknownDomain(), None, 64, 1e-3, seed=1)
         with pytest.raises(es.McError, match="unsupported domain"):
-            es.simulate_exit_times(cfg, workers=2, chunk_paths=4)
+            es.simulate_exit_times(cfg, workers=2)
 
     def test_csv_round_trip(self, tmp_path, mc_interval_small):
         _, samples = mc_interval_small
