@@ -143,18 +143,22 @@ def carleman_diagnostic(ms: MomentSequence):
     return {"holds": all(m >= -1e-9 for m in margins), "margins": margins}
 
 
-def laplace_transform(grid: Grid, s: float, tol: float = 1e-11) -> Field:
+LAPLACE_TOL = 1e-11  # relative residual target of the transform's solve
+
+
+def laplace_transform(grid: Grid, s: float) -> Field:
     """h(x, s) = E^x[exp(-s tau)]: solve (1/2) Delta h = s h, h = 1 on boundary.
 
-    Implemented through w = 1 - h with zero boundary: (-(1/2)Delta + s) w = s.
+    Implemented through w = 1 - h with zero boundary: (-(1/2)Delta + s) w = s,
+    solved to LAPLACE_TOL.
     """
     if not s >= 0:                      # a NaN fails it too
         raise ValueError("s must be >= 0")
     if s == 0.0:
         return Field.ones(grid)
     op = assemble_half_laplacian(grid)
-    w = solve_poisson(op, Field(grid, np.full(grid.n, float(s))), tol=tol,
-                      shift=s).values
+    w = solve_poisson(op, Field(grid, np.full(grid.n, float(s))),
+                      tol=LAPLACE_TOL, shift=s).values
     return Field(grid, 1.0 - w)
 
 

@@ -11,8 +11,9 @@ the Jacobi matrix in exact rationals, and Golub-Welsch (one float64
 tridiagonal eigensolve) gives nodes and weights. The precision only picks
 the input moments and the cap's noise floor: "extended" takes the exact
 moments where the sequence carries them, under a far lower floor. Each
-read-only sequence keeps its sections' singular values and one recurrence
-run per moment list in a table of its own, which serves every p.
+read-only sequence keeps a table of its own: its sections' singular values,
+one recurrence run per moment list, which serves every p, and one Gauss
+rule per moment list and p_eff, which both precisions share without mu_exact.
 """
 
 from __future__ import annotations
@@ -76,6 +77,14 @@ def _hankel(mu, p, shift):
     return np.array([[mu[i + j + shift] for j in range(p)] for i in range(p)])
 
 
+def _check_p(ms: MomentSequence, p: int):
+    """ValueError unless p >= 1 and ms holds mu_0..mu_{2p-1}."""
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    if 2 * p > ms.n_max + 1:
+        raise ValueError(f"p={p} needs n_max >= {2*p-1}, have {ms.n_max}")
+
+
 def hankel_psd_check(ms: MomentSequence, p: int):
     """Positive semidefiniteness of H_p = [mu_{i+j}] and the shifted
     H'_p = [mu_{i+j+1}]: the solvability certificate for the Stieltjes
@@ -84,11 +93,7 @@ def hankel_psd_check(ms: MomentSequence, p: int):
     the trace of finite moments overflows (the reported trace is then inf).
     The sequence's moments are finite; nonpositive ones are left to the
     eigenvalue test."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if 2 * p > ms.n_max + 1:
-        raise ValueError(f"p={p} needs moments up to 2p-1={2*p-1}, "
-                         f"have n_max={ms.n_max}")
+    _check_p(ms, p)
     report = {"p": p, "pass": True}
     for name, shift in (("H0", 0), ("H1", 1)):
         H = _hankel(ms.mu, p, shift)
@@ -248,12 +253,14 @@ def _recurrence(mu, p):
 def _jacobi(ms: MomentSequence, source: str, p: int, floor: float):
     """The first p recurrence coefficients of ms.mu or ms.mu_exact (source),
     from the table: one _chebyshev run per list, up to its cap over every
-    section under floor, which is the same for every call on source.
-    Without mu_exact both precisions read ms.mu and share that run."""
+    section under floor, which is the same for every call on source, kept
+    as floats (float(Fraction) is correctly rounded). Without mu_exact both
+    precisions read ms.mu and share it."""
     table = _table(ms)
     if source not in table:
         run = atom_count_cap(ms, (ms.n_max + 1) // 2, floor)
-        table[source] = _chebyshev(getattr(ms, source), run)
+        table[source] = [[float(c) for c in coefs]
+                         for coefs in _chebyshev(getattr(ms, source), run)]
     return _leading(p, *table[source])
 
 
@@ -271,16 +278,15 @@ def invert_moments(ms: MomentSequence, p: int,
     The requested p is capped by atom_count_cap; the effective value is in
     diagnostics["p_effective"], and the decision in diagnostics["cap"]: the
     floor, the threshold CAP_SAFETY * floor, and sigma_min of the balanced
-    sections p = 1..p. The sigma_min and the recurrence coefficients come
-    from the table on ms: one recurrence run per moment list serves every p.
+    sections p = 1..p. The sigma_min, the recurrence coefficients and each
+    Gauss rule come from the table on ms; a rule is kept under (moment list,
+    p_eff), and a repeated request gets fresh copies of its atoms, dropped
+    atoms and residuals. p_requested, precision and cap are each call's own.
     A nonpositive moment raises ValueError naming it (ms.validate()).
     """
     if precision not in ("standard", "extended"):
         raise ValueError(f"unknown precision {precision!r}")
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if 2 * p > ms.n_max + 1:
-        raise ValueError(f"p={p} needs n_max >= {2*p-1}, have {ms.n_max}")
+    _check_p(ms, p)
     ms.validate()
     exact = precision == "extended" and ms.mu_exact is not None
     # exact rational moments: the recurrence is exact and only the float64
@@ -292,25 +298,27 @@ def invert_moments(ms: MomentSequence, p: int,
     if p_eff < 1:
         raise InversionError("moment noise floor leaves no recoverable atoms")
     source = "mu_exact" if exact else "mu"
-    nodes, weights = _golub_welsch(*_jacobi(ms, source, p_eff, floor))
-
-    atoms = []
-    dropped = []
-    for x, w in zip(nodes, weights):
-        if x <= 0 or w < SPURIOUS_WEIGHT * ms.mu[0]:
-            dropped.append((x, w))
-            continue
-        atoms.append((x, w))
-    atoms.sort(key=lambda a: -a[0])
-    am = AtomicMeasure(atoms)
-    residuals = [abs(am.moment(n) - ms.mu[n]) / abs(ms.mu[n])
-                 for n in range(2 * p_eff)]
+    table, key = _table(ms), (source, p_eff)
+    if key in table:
+        atoms, dropped, residuals = table[key]
+        am = AtomicMeasure(atoms)
+    else:
+        nodes, weights = _golub_welsch(*_jacobi(ms, source, p_eff, floor))
+        atoms, dropped = [], []
+        for x, w in zip(nodes, weights):
+            spurious = x <= 0 or w < SPURIOUS_WEIGHT * ms.mu[0]
+            (dropped if spurious else atoms).append((x, w))
+        atoms.sort(key=lambda a: -a[0])
+        am = AtomicMeasure(atoms)
+        residuals = [abs(am.moment(n) - ms.mu[n]) / abs(ms.mu[n])
+                     for n in range(2 * p_eff)]
+        table[key] = tuple(am.atoms), tuple(dropped), tuple(residuals)
     am.diagnostics = {
         "p_requested": p,
         "p_effective": p_eff,
         "precision": precision,
-        "dropped_atoms": dropped,
-        "moment_residuals": residuals,
+        "dropped_atoms": list(dropped),
+        "moment_residuals": list(residuals),
         "max_moment_residual": max(residuals),
         "cap": {"floor": floor, "threshold": CAP_SAFETY * floor,
                 "sigma_min": _sigma_mins(ms)[:p]},

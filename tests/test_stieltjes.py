@@ -45,6 +45,13 @@ class TestHankel:
         with pytest.raises(ValueError, match="p must be >= 1"):
             es.hankel_psd_check(ms, p)
 
+    def test_p_past_the_moments_raises_one_message(self):
+        ms = es.analytic_moments(es.Interval(0, 1), 5)
+        for check in (es.hankel_psd_check, es.invert_moments):
+            with pytest.raises(ValueError,
+                               match=r"^p=4 needs n_max >= 7, have 5$"):
+                check(ms, 4)
+
     def test_moments_near_float_max_do_not_overflow(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -446,20 +453,64 @@ def table_specs():
 
 class TestTable:
     """invert_moments and atom_count_cap read one table per sequence, built
-    on first use; the sequence is read-only, so the table needs no key."""
+    on first use; the sequence is read-only, so the table never goes stale.
+    It keeps one Gauss rule per moment list and p_eff."""
 
     CASES = [(p, precision) for p in range(1, 9)
              for precision in ("standard", "extended")]
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_shuffled_inversions_match_fresh_sequences(self, seed):
+    def test_shuffled_inversions_match_fresh_sequences(self, seed,
+                                                       interval_pde_512):
+        """Analytic sequences, with exact moments and without, and a PDE
+        sequence, whose two precisions share every rule."""
         order = list(self.CASES)
         random.Random(seed).shuffle(order)
-        for spec in table_specs():
-            ms = es.analytic_moments(spec, 17)
+        seqs = [es.analytic_moments(spec, 17) for spec in table_specs()]
+        for ms in seqs + [fresh(interval_pde_512[0])]:
             for p, precision in order:
-                assert inversion(ms, p, precision) == \
-                    inversion(fresh(ms), p, precision)
+                if 2 * p <= ms.n_max + 1:
+                    assert inversion(ms, p, precision) == \
+                        inversion(fresh(ms), p, precision)
+
+    def test_one_gauss_rule_per_moment_list_and_atom_count(self, monkeypatch):
+        """p = 1..8 in both precisions take one Golub-Welsch eigensolve per
+        (moment list, p_eff): the standard cap's count without mu_exact,
+        and the standard plus the extended cap's count with it."""
+        calls = []
+        golub_welsch = stieltjes._golub_welsch
+        monkeypatch.setattr(stieltjes, "_golub_welsch",
+                            lambda a, b: calls.append(len(a))
+                            or golub_welsch(a, b))
+        for spec, exact in ((es.Rectangle(1, 2.5), False),
+                            (es.Interval(0, 3.3), True)):
+            ms = es.analytic_moments(spec, 17)
+            assert (ms.mu_exact is not None) == exact
+            del calls[:]
+            keys = set()
+            for p, precision in self.CASES:
+                d = es.invert_moments(ms, p, precision).diagnostics
+                keys.add((precision == "extended" and exact,
+                          d["p_effective"]))
+            assert len(calls) == len(keys)
+            want = es.atom_count_cap(ms, 8)
+            if exact:
+                want += es.atom_count_cap(ms, 8, 1e-26)
+            assert len(calls) == want
+
+    def test_results_do_not_share_the_table(self):
+        """Mutating a result's atoms, dropped atoms and residuals leaves
+        the next result for the same rule equal to a fresh sequence's."""
+        ms = es.analytic_moments(es.Rectangle(1, 2.5), 17)
+        for p, precision in self.CASES:
+            am = es.invert_moments(ms, p, precision)
+            am.atoms.append((1.0, 1.0))
+            am.atoms[0] = (2.0, 2.0)
+            am.diagnostics["dropped_atoms"].append((-1.0, 1.0))
+            am.diagnostics["moment_residuals"][0] = 1.0
+            am.diagnostics["moment_residuals"].append(1.0)
+            assert inversion(ms, p, precision) == \
+                inversion(fresh(ms), p, precision)
 
     def test_one_recurrence_run_per_moment_source(self, monkeypatch):
         """A sequence inverted at p = 1..8 in both precisions runs the
