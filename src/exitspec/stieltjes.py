@@ -41,16 +41,18 @@ class InversionError(RuntimeError):
 
 
 class AtomicMeasure:
-    """Atoms (x_j, w_j) with x strictly decreasing, plus recovery diagnostics."""
+    """Atoms (x_j, w_j), positive and finite, with x strictly decreasing,
+    plus recovery diagnostics."""
 
     def __init__(self, atoms, diagnostics=None):
         atoms = [(float(x), float(w)) for x, w in atoms]
+        for x, w in atoms:
+            if not (0 < x < math.inf and 0 < w < math.inf):
+                raise ValueError(f"atoms must be positive and finite, "
+                                 f"got ({x}, {w})")
         for (x1, _), (x2, _) in zip(atoms, atoms[1:]):
             if not x1 > x2:
                 raise ValueError("atoms must be strictly decreasing in x")
-        for x, w in atoms:
-            if x <= 0 or w <= 0:
-                raise ValueError(f"atoms must be positive, got ({x}, {w})")
         self.atoms = atoms
         self.diagnostics = diagnostics or {}
 
@@ -334,8 +336,9 @@ def measure_to_spectrum(am: AtomicMeasure) -> SpectralData:
 
 
 def reconstruct_heat_content(am: AtomicMeasure, times) -> HeatContentCurve:
-    """q(t) = sum w_j exp(-t / x_j), the heat content determined by mspec."""
+    """q(t) = sum w_j exp(-t / x_j), the heat content determined by the
+    atoms (x_j, w_j) of am."""
     times = np.asarray(times, dtype=float)
-    q = np.array([math.fsum(w * math.exp(-t / x) for x, w in am.atoms)
-                  for t in times])
+    q = [math.fsum(w * math.exp(-t / x) for x, w in am.atoms)
+         for t in times.tolist()]
     return HeatContentCurve(times, q, "reconstructed")

@@ -40,6 +40,42 @@ class TestZeta:
         with pytest.raises(ValueError):
             es.verify_identities(ms, interval_sd, 6)
 
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_identity_requires_n_max_of_one(self, interval_sd, n_max):
+        """No N to check is an error, not max() of an empty sequence."""
+        ms = es.analytic_moments(es.Interval(0, 1), 3)
+        with pytest.raises(ValueError, match=r"^n_max must be >= 1$"):
+            es.verify_identities(ms, interval_sd, n_max)
+
+    def test_identity_rejects_empty_spectral_data(self):
+        ms = es.analytic_moments(es.Interval(0, 1), 3)
+        with pytest.raises(ValueError, match="empty spectral data"):
+            es.verify_identities(ms, es.SpectralData([], "inverted"), 2)
+
+    @pytest.mark.parametrize("case", ["analytic", "p_eff=1", "p_eff=8"])
+    def test_identity_report_is_bit_equal_to_per_n_zeta(self, interval_sd,
+                                                        case):
+        """The report forms each N's terms as zeta and zeta_tail_bound do,
+        so it equals, with ==, a report built from them."""
+        ms = es.analytic_moments(es.Interval(0, 3.3), 17)
+        if case == "analytic":
+            sd = es.analytic_spectrum(es.Interval(0, 3.3), 60)
+        else:
+            p = int(case[-1])
+            am = es.invert_moments(ms, p, "extended")
+            assert am.diagnostics["p_effective"] == p
+            sd = es.measure_to_spectrum(am)
+        n_max = 17 if case == "analytic" else min(2 * p - 1, 17)
+        rows = []
+        for N in range(1, n_max + 1):
+            lhs = math.gamma(N) * es.zeta(sd, N)
+            rhs = ms.A[N] / N
+            rows.append({"N": N, "gamma_zeta": lhs, "A_over_N": rhs,
+                         "rel_err": abs(lhs - rhs) / abs(rhs),
+                         "zeta_tail": es.zeta_tail_bound(sd, N)})
+        want = {"rows": rows, "max_rel_err": max(r["rel_err"] for r in rows)}
+        assert es.verify_identities(ms, sd, n_max) == want
+
 
 class TestHeatContent:
     @pytest.mark.parametrize("times", [[math.nan, 1.0], [0.5, math.nan],
@@ -48,6 +84,33 @@ class TestHeatContent:
         """A NaN time fails both ordering tests, so it is caught apart."""
         with pytest.raises(ValueError, match="times must be finite"):
             es.HeatContentCurve(times, [1.0, 0.5], "timestep")
+
+    @pytest.mark.parametrize("times, q, provenance, message", [
+        ([0.0, 1.0], [1.0, 0.5], "timestep",
+         "times must be strictly increasing and positive"),
+        ([-0.5, 1.0], [1.0, 0.5], "timestep",
+         "times must be strictly increasing and positive"),
+        ([-0.0], [1.0], "timestep",
+         "times must be strictly increasing and positive"),
+        ([0.5, 0.5, 1.0], [1.0, 0.8, 0.5], "timestep",
+         "times must be strictly increasing and positive"),
+        ([0.5, 1.0, 0.8], [1.0, 0.8, 0.5], "timestep",
+         "times must be strictly increasing and positive"),
+        ([0.5, 1.0], [1.0], "timestep",
+         "times and q must be matching 1D arrays"),
+        ([[0.5, 1.0]], [[1.0, 0.5]], "timestep",
+         "times and q must be matching 1D arrays"),
+        ([0.5, 1.0], [1.0, 0.5], "bogus", "unknown provenance 'bogus'"),
+    ], ids=["first-zero", "first-negative", "negative-zero", "repeated",
+            "decreasing", "shapes", "2d", "provenance"])
+    def test_curve_rejections(self, times, q, provenance, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            es.HeatContentCurve(times, q, provenance)
+
+    def test_curve_may_be_empty(self):
+        curve = es.HeatContentCurve([], [], "reconstructed")
+        assert len(curve) == 0
+        assert curve.times.dtype == curve.q.dtype == np.float64
 
     def test_spectral_sum_matches_series(self, interval_sd):
         # direct series for q(t) = sum a^2 exp(-lam t / 2)

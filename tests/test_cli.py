@@ -357,6 +357,7 @@ class TestPipelines:
         ("all", {"heat.t_min": "0"}, 2, "need 0 < heat.t_min < heat.t_max"),
         # verify takes its analytic moments to verify.n_max itself
         ("verify", {"verify.n_max": "12"}, 0, None),
+        ("verify", {"verify.n_max": "0"}, 2, "n_max must be >= 1"),
         # typed library errors: McError, ValueError, GeometryError
         ("mc", {"mc.paths": "4", "mc.x0": ""}, 2, "relative standard error"),
         ("mc", {"mc.dt": "0"}, 2, "dt must be positive and finite, got 0.0"),
@@ -364,6 +365,7 @@ class TestPipelines:
         ("moments", {"grid.h": "nan"}, 2,
          "h must be positive and finite, got nan"),
     ], ids=["invert-n_max", "all-n_max", "all-t_min", "verify-n_max",
+            "verify-n_max-0",
             "mc-paths", "mc-dt", "moments-n_max", "grid-h-nan"])
     def test_stage_config_checks(self, tmp_path, capsys, pipeline, changes,
                                  rc, message):

@@ -3,6 +3,7 @@ import random
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import jn_zeros
@@ -612,6 +613,27 @@ class TestMeasure:
         with pytest.raises(ValueError):
             es.AtomicMeasure([(1.5, -2.0)])
 
+    @pytest.mark.parametrize("atom", [
+        (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf),
+        (-math.inf, 1.0), (1.0, -math.inf)],
+        ids=["x-nan", "x-inf", "w-nan", "w-inf", "x-minus-inf", "w-minus-inf"])
+    def test_non_finite_atom_raises_naming_it(self, atom):
+        """A NaN or infinite atom would give a NaN mass and NaN heat
+        content downstream; it fails at construction, ahead of the order
+        check, so a NaN among others is named too."""
+        message = rf"^atoms must be positive and finite, got \({atom[0]}, " \
+                  rf"{atom[1]}\)$"
+        with pytest.raises(ValueError, match=message):
+            es.AtomicMeasure([atom])
+        with pytest.raises(ValueError, match=message):
+            es.AtomicMeasure([(4.0, 1.0), atom, (1e-3, 1.0)])
+
+    def test_csv_row_with_nan_raises(self, tmp_path):
+        path = tmp_path / "atoms.csv"
+        path.write_text("x,w\n2,0.5\nnan,0.25\n0.5,0.125\n")
+        with pytest.raises(ValueError, match=r"got \(nan, 0.25\)"):
+            es.AtomicMeasure.from_csv(path)
+
     def test_csv_round_trip(self, tmp_path):
         am = es.invert_moments(es.analytic_moments(es.Interval(0, 1), 7), 3)
         path = tmp_path / "measure.csv"
@@ -633,3 +655,20 @@ class TestMeasure:
         sd = es.measure_to_spectrum(am)
         ref = es.heat_content_spectral(sd, times)
         assert curve.q == pytest.approx(ref.q, rel=1e-13)
+
+    @pytest.mark.parametrize("p", [1, 8])
+    @pytest.mark.parametrize("kind", [list, tuple, np.asarray])
+    def test_reconstruct_heat_content_bits(self, p, kind):
+        """q is bit-equal to a sum formed over numpy scalar times, whatever
+        sequence carries the times."""
+        ms = es.analytic_moments(es.Interval(0, 3.3), 17)
+        am = es.invert_moments(ms, p, "extended")
+        assert am.diagnostics["p_effective"] == p
+        times = [t * am.atoms[0][0] for t in (1e-3, 0.1, 1.0, 3.0, 10.0)]
+        curve = es.reconstruct_heat_content(am, kind(times))
+        want = np.array([math.fsum(w * math.exp(-t / x) for x, w in am.atoms)
+                         for t in np.asarray(times, dtype=float)])
+        assert curve.provenance == "reconstructed"
+        assert curve.times.tobytes() == np.array(times).tobytes()
+        assert curve.q.dtype == np.float64
+        assert curve.q.tobytes() == want.tobytes()
