@@ -275,6 +275,8 @@ def asymptotic_fit(curve: HeatContentCurve, N: int = 3) -> AsymptoticFit:
     """Least squares of q(t) against {t^{n/2}}, n = 0..N, on the curve's range."""
     t = curve.times
     q = curve.q
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
     if len(t) < N + 2:
         raise ValueError(f"need at least {N + 2} samples to fit N={N}")
     B = np.stack([t ** (n / 2.0) for n in range(N + 1)], axis=1)

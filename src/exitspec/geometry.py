@@ -1,11 +1,12 @@
 """Domain descriptions, lattice grids, quadrature weights, and the boundary
 normal-flow perturbation for polygons.
 
-Domains are analytic objects (exact volume and boundary measure); grids are
-stair-step lattices h*Z^d restricted to the strict interior, with Dirichlet
-zero on everything outside. Disks additionally get a 1D radial grid with
-finite-volume weights, which restores second-order accuracy that the
-stair-step boundary lacks.
+Domains are analytic objects (exact volume and boundary measure, an open-set
+interior test and the distance to the boundary); grids are stair-step
+lattices h*Z^d restricted to the strict interior, Dirichlet zero outside,
+and build_grid alone decides how close to the boundary a node may sit.
+Disks additionally get a 1D radial grid with finite-volume weights, which
+restores second-order accuracy that the stair-step boundary lacks.
 """
 
 from __future__ import annotations
@@ -34,11 +35,14 @@ class DomainSpec:
         raise NotImplementedError
 
     def contains(self, points):
-        """Strict-interior test; points is (n, dim), (n,) in 1-D. Intervals,
-        rectangles and disks take any leading shape. Intervals and
-        rectangles also leave out points within 1e-12 times their largest
-        |coordinate| of the boundary, so that a lattice point rounded onto
-        it stays out at any scale."""
+        """Open-set interior test on points of shape (..., dim), (...) in
+        1-D; the result has the leading shape. A point exactly on a
+        polygon's edge may read either way; distance == 0 marks it."""
+        raise NotImplementedError
+
+    def distance(self, points):
+        """Distance to the boundary, shaped as contains' result; defined
+        for interior points only."""
         raise NotImplementedError
 
     def box(self):
@@ -65,8 +69,11 @@ class Interval(DomainSpec):
 
     def contains(self, points):
         x = np.asarray(points, dtype=float)
-        eps = 1e-12 * max(abs(self.a), abs(self.b))
-        return (x > self.a + eps) & (x < self.b - eps)
+        return (x > self.a) & (x < self.b)
+
+    def distance(self, points):
+        x = np.asarray(points, dtype=float)
+        return np.minimum(x - self.a, self.b - x)
 
     def box(self):
         return [(self.a, self.b)]
@@ -95,9 +102,14 @@ class Rectangle(DomainSpec):
 
     def contains(self, points):
         p = np.asarray(points, dtype=float)
-        eps = 1e-12 * max(self.Lx, self.Ly)
-        return ((p[..., 0] > eps) & (p[..., 0] < self.Lx - eps) &
-                (p[..., 1] > eps) & (p[..., 1] < self.Ly - eps))
+        return ((p[..., 0] > 0) & (p[..., 0] < self.Lx) &
+                (p[..., 1] > 0) & (p[..., 1] < self.Ly))
+
+    def distance(self, points):
+        p = np.asarray(points, dtype=float)
+        x, y = p[..., 0], p[..., 1]
+        return np.minimum(np.minimum(x, self.Lx - x),
+                          np.minimum(y, self.Ly - y))
 
     def box(self):
         return [(0.0, self.Lx), (0.0, self.Ly)]
@@ -126,6 +138,10 @@ class Disk(DomainSpec):
     def contains(self, points):
         p = np.asarray(points, dtype=float)
         return p[..., 0] ** 2 + p[..., 1] ** 2 < self.R ** 2
+
+    def distance(self, points):
+        p = np.asarray(points, dtype=float)
+        return self.R - np.hypot(p[..., 0], p[..., 1])
 
     def box(self):
         return [(-self.R, self.R)] * 2
@@ -215,36 +231,18 @@ class Polygon(DomainSpec):
         d = np.roll(v, -1, axis=0) - v
         return float(np.sum(np.hypot(d[:, 0], d[:, 1])))
 
-    def contains(self, points, boundary_eps=None):
-        """Strict interior: odd crossing parity and not within eps of an edge.
-        Only points of odd parity are measured against the edges. The
-        default eps is 1e-12 times the vertices' extent, so it dilates with
-        the polygon."""
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        inside = self.crossing_parity(p)
-        if boundary_eps is None:
-            boundary_eps = 1e-12 * float(np.ptp(np.asarray(self.vertices)))
-        odd = np.flatnonzero(inside)
-        inside[odd[self._near_boundary(p[odd], boundary_eps)]] = False
-        return inside
-
-    def box(self):
-        v = np.asarray(self.vertices)
-        return list(zip(v.min(axis=0), v.max(axis=0)))
-
-    def crossing_parity(self, p):
-        """Even-odd ray casting (no boundary guard) on p, (n,2). Per edge it
-        computes, in place in one float buffer and two masks, the bits of
+    def contains(self, points):
+        """Even-odd ray casting. Per edge it computes, in place in one float
+        buffer and two masks, the bits of
         ((y1 > y) != (y2 > y)) & (x < x1 + (y - y1) * (x2 - x1) / (y2 - y1))."""
-        v = np.asarray(self.vertices)
-        x, y = p[:, 0], p[:, 1]
-        inside = np.zeros(len(p), dtype=bool)
+        p = np.asarray(points, dtype=float)
+        q = p.reshape(-1, 2)
+        x, y = q[:, 0], q[:, 1]
+        inside = np.zeros(len(q), dtype=bool)
         cross, mask = np.empty_like(inside), np.empty_like(inside)
-        xc = np.empty(len(p))
-        n = len(v)
-        for i in range(n):
-            x1, y1 = v[i]
-            x2, y2 = v[(i + 1) % n]
+        xc = np.empty(len(q))
+        v = self.vertices
+        for (x1, y1), (x2, y2) in zip(v, v[1:] + v[:1]):
             np.not_equal(np.less(y, y1, out=cross), np.less(y, y2, out=mask),
                          out=cross)
             np.subtract(y, y1, out=xc)
@@ -254,22 +252,24 @@ class Polygon(DomainSpec):
                 xc += x1
             cross &= np.less(x, xc, out=mask)
             inside ^= cross
-        return inside
+        return inside.reshape(p.shape[:-1])
 
-    def _near_boundary(self, p, eps):
+    def distance(self, points):
+        """The least distance to an edge, by projection onto each."""
+        p = np.asarray(points, dtype=float)
+        q = p.reshape(-1, 2)
         v = np.asarray(self.vertices)
-        near = np.zeros(len(p), dtype=bool)
-        n = len(v)
-        for i in range(n):
-            a = v[i]
-            b = v[(i + 1) % n]
+        d2 = np.full(len(q), np.inf)
+        for a, b in zip(v, np.roll(v, -1, axis=0)):
             ab = b - a
-            denom = float(ab @ ab)
-            t = np.clip(((p - a) @ ab) / denom, 0.0, 1.0)
-            proj = a + t[:, None] * ab
-            d2 = np.sum((p - proj) ** 2, axis=1)
-            near |= d2 <= eps * eps
-        return near
+            t = np.clip(((q - a) @ ab) / float(ab @ ab), 0.0, 1.0)
+            np.minimum(d2, np.sum((q - (a + t[:, None] * ab)) ** 2, axis=1),
+                       out=d2)
+        return np.sqrt(d2).reshape(p.shape[:-1])
+
+    def box(self):
+        v = np.asarray(self.vertices)
+        return list(zip(v.min(axis=0), v.max(axis=0)))
 
     def vertex_normals(self):
         """Outward unit normals at vertices (angle bisector of edge normals)."""
@@ -383,9 +383,11 @@ class Grid:
 def build_grid(spec: DomainSpec, h: float) -> Grid:
     """Stair-step lattice grid: the points of h*Z^d strictly inside spec.
 
-    The points of spec.box() padded by one node where spec.contains holds,
-    in lexicographic order of lattice coordinates. Raises GeometryError
-    when some axis has fewer than 3 interior nodes.
+    The points of spec.box() padded by one node where spec.contains holds
+    and spec.distance exceeds 1e-12 times the box's largest |coordinate|,
+    in lexicographic order of lattice coordinates. The guard keeps a point
+    rounded onto the boundary out, and it scales with the domain. Raises
+    GeometryError when some axis has fewer than 3 interior nodes.
     """
     if not (math.isfinite(h) and h > 0):
         raise GeometryError(f"h must be positive and finite, got {h}")
@@ -395,6 +397,8 @@ def build_grid(spec: DomainSpec, h: float) -> Grid:
     cand = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, len(box))
     pts = cand * h if len(box) > 1 else cand[:, 0] * h  # flat in 1-D
     mask = spec.contains(pts)
+    eps = 1e-12 * max(abs(c) for lo_hi in box for c in lo_hi)
+    mask[mask] = spec.distance(pts[mask]) > eps
     lattice = cand[mask]
     if any(len(np.unique(lattice[:, k])) < 3 for k in range(len(box))):
         raise GeometryError(f"h={h} leaves fewer than 3 interior nodes per axis")

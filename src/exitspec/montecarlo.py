@@ -50,7 +50,7 @@ from collections import Counter
 import numpy as np
 
 from .csvtable import write_csv
-from .geometry import DomainSpec, GeometryError, Polygon
+from .geometry import DomainSpec, GeometryError
 from .moments import MomentSequence
 
 STEP_CAP = 10 ** 8      # a path not out of D after this many steps is NaN
@@ -141,7 +141,8 @@ class SimConfig:
         self.x0 = None if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
         if self.x0 is not None and self.x0.shape != (spec.dim,):
             raise ValueError(f"x0={x0} needs spec.dim={spec.dim} coordinates")
-        if self.x0 is not None and not np.all(spec.contains(self.x0)):
+        if self.x0 is not None and not (np.all(spec.contains(self.x0))
+                                        and np.all(spec.distance(self.x0) > 0)):
             raise ValueError(f"x0={x0} is not strictly interior")
         self.spec = spec
         self.paths = int(paths)
@@ -241,12 +242,7 @@ def _walk_pass(spec, gens, pos, n, sqdt):
     for g, row in zip(gens, walk[:, 1:]):
         g.standard_normal(out=row)
     _advance(walk, sqdt)
-    if isinstance(spec, Polygon):
-        # parity alone: contains would add an edge-distance test per point
-        inside = spec.crossing_parity(walk.reshape(-1, 2)).reshape(walk.shape[:2])
-    else:
-        inside = spec.contains(walk[..., 0] if spec.dim == 1 else walk)
-    inside = inside[:, 1:]
+    inside = spec.contains(walk[..., 0] if spec.dim == 1 else walk)[:, 1:]
     first = np.where(inside.all(axis=1), 0, inside.argmin(axis=1) + 1)
     return first, walk[:, -1].copy()  # a view would keep walk alive
 
@@ -355,6 +351,8 @@ def mc_moments(samples: ExitSamples, n_max: int) -> MomentSequence:
     fixed-start samples estimate E^{x0}[tau^n] (A_0 is then 1, not the
     volume). Variance of tau^n explodes with n, so n_max <= 4.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     if n_max > 4:
         raise McError("n_max > 4: tau^n variance is uninformative")
     taus = samples.finite()

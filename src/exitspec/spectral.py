@@ -162,10 +162,12 @@ def numeric_spectrum(grid: Grid, m: int, tol: float = 1e-8) -> SpectralData:
     multiplicity is grid multiplicity, not certified continuum multiplicity.
     Every eigenpair meets lowest_eigenpairs' relative residual contract,
     ||(S - lambda/2) z|| <= tol * lambda/2, so the same tol holds for a
-    domain at any scale.
+    domain at any scale. m may be at most n - 2 for the grid's n nodes.
     """
+    if m > grid.n - 2:
+        raise ValueError(f"m={m} exceeds n - 2 for the n={grid.n} grid nodes")
     op = assemble_half_laplacian(grid)
-    mm = m + 4
+    mm = min(m + 4, grid.n - 2)
     while True:
         pairs = lowest_eigenpairs(op, mm, tol=tol)
         lams = [p[0] for p in pairs]

@@ -294,39 +294,60 @@ def monic_orthogonal_value(alpha, beta, x):
 
 def loop_lattice_grid(spec, h):
     """(nodes, lattice, weights) of the stair-step grid on h*Z^d, built
-    point by point: candidates over the padded bounding box in
-    lexicographic order, kept when strictly inside (eps-guarded for the
-    interval and the rectangle, spec.contains for polygons)."""
+    point by point in plain Python: candidates over the padded bounding box
+    in lexicographic order, kept when strictly inside and farther than
+    1e-12 times the box's largest |coordinate| from the boundary, the one
+    guard rule for all four domain types. Polygons are judged by the
+    oracle's own ray cast and point-to-segment distance."""
     if spec.kind == "interval":
-        eps = 1e-12 * max(abs(spec.a), abs(spec.b))
-        idx = [i for i in range(math.floor(spec.a / h) - 1,
-                                math.ceil(spec.b / h) + 2)
-               if spec.a + eps < i * h < spec.b - eps]
-        return (np.array([i * h for i in idx]), [(i,) for i in idx],
-                np.full(len(idx), h))
-    if spec.kind == "rectangle":
-        xlo, xhi, ylo, yhi = 0.0, spec.Lx, 0.0, spec.Ly
+        box = [(spec.a, spec.b)]
+    elif spec.kind == "rectangle":
+        box = [(0.0, spec.Lx), (0.0, spec.Ly)]
     elif spec.kind == "disk":
-        xlo = ylo = -spec.R
-        xhi = yhi = spec.R
+        box = [(-spec.R, spec.R)] * 2
     else:
-        v = np.asarray(spec.vertices)
-        xlo, xhi = v[:, 0].min(), v[:, 0].max()
-        ylo, yhi = v[:, 1].min(), v[:, 1].max()
-    cand = [(i, j)
-            for i in range(math.floor(xlo / h) - 1, math.ceil(xhi / h) + 2)
-            for j in range(math.floor(ylo / h) - 1, math.ceil(yhi / h) + 2)]
-    pts = np.array([(i * h, j * h) for i, j in cand])
+        xs, ys = zip(*spec.vertices)
+        box = [(min(xs), max(xs)), (min(ys), max(ys))]
+    eps = 1e-12 * max(abs(c) for lo_hi in box for c in lo_hi)
+    ranges = [range(math.floor(lo / h) - 1, math.ceil(hi / h) + 2)
+              for lo, hi in box]
+    lattice, nodes = [], []
+    for idx in itertools.product(*ranges):
+        pt = tuple(i * h for i in idx)
+        inside, dist = _inside_and_distance(spec, pt)
+        if inside and dist > eps:
+            lattice.append(idx)
+            nodes.append(pt if len(pt) > 1 else pt[0])
+    return np.array(nodes), lattice, np.full(len(lattice), h ** len(box))
+
+
+def _inside_and_distance(spec, pt):
+    """(open-set membership, distance to the boundary) of one point."""
+    if spec.kind == "interval":
+        x, = pt
+        return spec.a < x < spec.b, min(x - spec.a, spec.b - x)
+    x, y = pt
     if spec.kind == "rectangle":
-        eps = 1e-12 * max(spec.Lx, spec.Ly)
-        mask = ((pts[:, 0] > eps) & (pts[:, 0] < spec.Lx - eps) &
-                (pts[:, 1] > eps) & (pts[:, 1] < spec.Ly - eps))
-    elif spec.kind == "disk":
-        mask = pts[:, 0] ** 2 + pts[:, 1] ** 2 < spec.R ** 2
-    else:
-        mask = spec.contains(pts)
-    lattice = [c for c, m in zip(cand, mask) if m]
-    return pts[mask], lattice, np.full(len(lattice), h * h)
+        return (0.0 < x < spec.Lx and 0.0 < y < spec.Ly,
+                min(x, spec.Lx - x, y, spec.Ly - y))
+    if spec.kind == "disk":
+        return x * x + y * y < spec.R * spec.R, spec.R - math.hypot(x, y)
+    v = spec.vertices
+    inside, dist = False, math.inf
+    for (x1, y1), (x2, y2) in zip(v, v[1:] + v[:1]):
+        if (y1 > y) != (y2 > y) and x < x1 + (y - y1) * (x2 - x1) / (y2 - y1):
+            inside = not inside
+        dist = min(dist, _point_segment_distance(pt, (x1, y1), (x2, y2)))
+    return inside, dist
+
+
+def _point_segment_distance(p, a, b):
+    """Euclidean distance from p to the closed segment ab."""
+    (px, py), (ax, ay), (bx, by) = p, a, b
+    dx, dy = bx - ax, by - ay
+    t = ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
+    t = min(max(t, 0.0), 1.0)
+    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
 def cn_heat_content_loop(S, sqrtw, times, dt):

@@ -387,6 +387,13 @@ class TestAsymptotics:
         assert abs(c[2]) < 1e-6 and abs(c[3]) < 1e-5
         assert fit.residual < 1e-10
 
+    def test_negative_fit_order_rejected(self):
+        sd = es.analytic_spectrum(es.Interval(0, 1), 300)
+        curve = es.heat_content_spectral(sd, np.geomspace(1e-4, 1e-2, 30))
+        with pytest.raises(ValueError, match="N must be >= 0, got -1"):
+            es.asymptotic_fit(curve, -1)
+        assert len(es.asymptotic_fit(curve, 0).coefficients) == 1
+
     def test_fit_window_scales(self):
         lo1, hi1 = es.fit_window(es.Interval(0, 1), 1 / 64)
         lo2, hi2 = es.fit_window(es.Interval(0, 1), 1 / 128)

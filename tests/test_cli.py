@@ -364,9 +364,20 @@ class TestPipelines:
         ("moments", {"moments.n_max": "0"}, 2, "n_max must be >= 1"),
         ("moments", {"grid.h": "nan"}, 2,
          "h must be positive and finite, got nan"),
+        ("heat", {"heat.fit_terms": "-1"}, 2, "N must be >= 0, got -1"),
+        # a 10-node interval grid resolves up to n - 2 = 8 clusters
+        ("spectrum", {"grid.h": repr(1 / 11), "spectrum.source": "numeric",
+                      "spectrum.m": "5"}, 0, None),
+        ("spectrum", {"grid.h": repr(1 / 11), "spectrum.source": "numeric",
+                      "spectrum.m": "8"}, 0, None),
+        ("spectrum", {"grid.h": repr(1 / 11), "spectrum.source": "numeric",
+                      "spectrum.m": "9"}, 2,
+         "m=9 exceeds n - 2 for the n=10 grid nodes"),
     ], ids=["invert-n_max", "all-n_max", "all-t_min", "verify-n_max",
             "verify-n_max-0",
-            "mc-paths", "mc-dt", "moments-n_max", "grid-h-nan"])
+            "mc-paths", "mc-dt", "moments-n_max", "grid-h-nan",
+            "heat-fit_terms-negative", "spectrum-numeric-m-5",
+            "spectrum-numeric-m-8", "spectrum-numeric-m-9"])
     def test_stage_config_checks(self, tmp_path, capsys, pipeline, changes,
                                  rc, message):
         text = config_text({**ALL_INTERVAL, **changes})

@@ -14,7 +14,7 @@ UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
 def out_of_place_parity(poly, p):
     """Even-odd ray casting as one expression per edge, with fresh
-    temporaries: the reference the in-place crossing_parity must match."""
+    temporaries: the reference the in-place Polygon.contains must match."""
     v = np.asarray(poly.vertices)
     x, y = p[:, 0], p[:, 1]
     inside = np.zeros(len(p), dtype=bool)
@@ -72,11 +72,18 @@ class TestSpecs:
         assert ell.volume() == pytest.approx(3.0, abs=1e-14)
 
     def test_crossing_parity_matches_contains(self):
+        # contains is crossing parity alone, on any leading shape
         ell = es.Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
         rng = np.random.default_rng(3)
         pts = rng.uniform(-0.2, 2.2, size=(200, 2))
-        par = ell.crossing_parity(pts)
-        assert np.array_equal(par, ell.contains(pts, boundary_eps=0.0))
+        par = out_of_place_parity(ell, pts)
+        assert np.array_equal(ell.contains(pts), par)
+        blocks = ell.contains(pts.reshape(4, 5, 10, 2))
+        assert blocks.shape == (4, 5, 10)
+        assert np.array_equal(blocks.ravel(), par)
+        assert ell.contains(pts[0]).shape == ()
+        assert ell.contains(pts[0]) == par[0]
+        assert ell.distance(pts.reshape(4, 50, 2)).shape == (4, 50)
 
     @pytest.mark.parametrize("name", ["L", "c8_square", "triangle"])
     def test_crossing_parity_bits_of_the_out_of_place_expression(self, name):
@@ -111,25 +118,35 @@ class TestSpecs:
         pts = np.concatenate([rng.uniform(lo, hi, (2000, 2)), v,
                               on_lines(1, v[flat, 1]),
                               on_lines(0, v[upright, 0]), *at_cross])
-        assert np.array_equal(poly.crossing_parity(pts),
+        assert np.array_equal(poly.contains(pts),
                               out_of_place_parity(poly, pts))
 
     @pytest.mark.parametrize("eps", [None, 0.0, 1e-12, 1e-3])
     def test_contains_measures_edges_on_odd_parity_only(self, eps):
-        # skipping the edge distances for even-parity points must not change
-        # a single answer: compare with parity & ~near over every point
-        ell = es.Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
-        v = np.asarray(ell.vertices)
-        rng = np.random.default_rng(11)
-        t = rng.uniform(0, 1, (500, 1))
-        i = rng.integers(len(v), size=500)
-        on_edges = v[i] + t * (np.roll(v, -1, axis=0)[i] - v[i])
-        pts = np.concatenate([rng.uniform(-0.3, 2.3, (2000, 2)), on_edges,
-                              on_edges + rng.normal(0, 1e-12, (500, 2)), v])
-        e = 1e-12 * 2.0 if eps is None else eps
-        want = ell.crossing_parity(pts) & ~ell._near_boundary(pts, e)
-        got = ell.contains(pts) if eps is None else ell.contains(pts, eps)
-        assert np.array_equal(got, want)
+        # build_grid measures edge distances only where contains (odd
+        # parity) holds; that must keep exactly the candidates of odd
+        # parity and distance > 1e-12 times the box's largest |coordinate|,
+        # both judged over every candidate. eps moves the L's vertices off
+        # the lattice (None: its integer vertices, 0.0: the same after a
+        # float addition), so nodes sit on its edges and vertices, within
+        # the guard of them, or past it
+        verts = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
+        if eps is not None:
+            verts = [(x + eps, y + eps) for x, y in verts]
+        ell = es.Polygon(verts)
+        h = 1 / 16
+        box = ell.box()
+        axes = [np.arange(math.floor(lo / h) - 1, math.ceil(hi / h) + 2)
+                for lo, hi in box]
+        ij = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 2)
+        pts = ij * h
+        guard = 1e-12 * max(abs(c) for lo_hi in box for c in lo_hi)
+        keep = out_of_place_parity(ell, pts) & (ell.distance(pts) > guard)
+        assert es.build_grid(ell, h).lattice.tolist() == ij[keep].tolist()
+        # nodes on the notch's vertical edge x = 1 + eps, above y = 1
+        notch = (ij[:, 0] == 16) & (ij[:, 1] > 16) & (ij[:, 1] < 32)
+        on_edge_kept = keep[notch]
+        assert on_edge_kept.all() if eps == 1e-3 else not on_edge_kept.any()
 
     def test_polygon_tolerances_scale_with_the_polygon(self):
         # area, collinearity and touching tolerances are relative, so a
@@ -158,9 +175,11 @@ class TestSpecs:
             assert es.build_grid(poly, c / 16).n == 15 * 15, k
 
     def test_default_boundary_eps_unchanged_from_extent_one(self):
-        # for polygons of extent >= 1 the relative default equals the
-        # earlier 1e-12 * max(extent, 1): C8's perturbed square in its eight
-        # images under the square's symmetries, and the suite's polygons
+        # build_grid's guard, 1e-12 times the box's largest |coordinate|,
+        # keeps the nodes that the earlier polygon guard, 1e-12 times
+        # max(extent, 1) of the vertices, kept: C8's perturbed square in its
+        # eight images under the square's symmetries, and the suite's
+        # polygons
         flow = [-1.0, 0.6, 1.0, -0.2]
         images = []
         for k in range(8):
@@ -184,9 +203,9 @@ class TestSpecs:
                 ij = np.stack(np.meshgrid(np.arange(lo[0], hi[0]),
                                           np.arange(lo[1], hi[1]),
                                           indexing="ij"), -1).reshape(-1, 2)
-                old = poly.contains(ij * h, boundary_eps=1e-12 * max(extent, 1))
-                assert np.array_equal(poly.contains(ij * h), old)
-                assert g.n == int(old.sum())
+                old = (out_of_place_parity(poly, ij * h)
+                       & (poly.distance(ij * h) > 1e-12 * max(extent, 1)))
+                assert g.lattice.tolist() == ij[old].astype(int).tolist()
 
     def test_self_intersecting_rejected(self):
         with pytest.raises(es.GeometryError):
@@ -209,6 +228,165 @@ class TestSpecs:
     def test_non_finite_rejected(self, make, bad):
         with pytest.raises(es.GeometryError, match=bad):
             make()
+
+
+def corners(spec):
+    """A rectangle's or a polygon's vertices, counterclockwise, (n, 2)."""
+    if spec.kind == "rectangle":
+        return np.array([(0, 0), (spec.Lx, 0), (spec.Lx, spec.Ly),
+                         (0, spec.Ly)], dtype=float)
+    return np.array(spec.vertices)
+
+
+def sampled_boundary(spec, k):
+    """k points on each edge of spec's boundary (on its circle for a disk,
+    its two ends for an interval), and their spacing along it."""
+    if spec.kind == "interval":
+        return np.array([spec.a, spec.b]), 0.0
+    if spec.kind == "disk":
+        theta = np.linspace(0.0, 2 * math.pi, k)
+        return spec.R * np.stack([np.cos(theta), np.sin(theta)], 1), \
+            2 * math.pi * spec.R / (k - 1)
+    a = corners(spec)
+    b = np.roll(a, -1, axis=0)
+    t = np.linspace(0.0, 1.0, k)[:, None, None]
+    return (a + t * (b - a)).reshape(-1, 2), \
+        float(np.max(np.hypot(*(b - a).T))) / (k - 1)
+
+
+def interior_probes(spec, rng):
+    """Random interior points, and points 1e-3..1e-9 of the box's extent
+    from every edge's midpoint and every vertex (every end on an interval,
+    the circle's points at 16 angles on a disk) toward the random points'
+    mean; those that land outside are dropped."""
+    lo, hi = np.array(spec.box()).T
+    pts = lo + rng.uniform(0, 1, (400, spec.dim)) * (hi - lo)
+    pts = pts[spec.contains(pts if spec.dim > 1 else pts[:, 0])]
+    extent = float(np.max(hi - lo))
+    if spec.kind == "interval":
+        marks = np.array([[spec.a], [spec.b]])
+    elif spec.kind == "disk":
+        theta = np.arange(16) * (math.pi / 8)
+        marks = spec.R * np.stack([np.cos(theta), np.sin(theta)], 1)
+    else:
+        v = corners(spec)
+        marks = np.concatenate([v, (v + np.roll(v, -1, axis=0)) / 2])
+    center = pts.mean(axis=0)
+    near = [m + f * extent * (center - m) / np.linalg.norm(center - m)
+            for f in (1e-3, 1e-6, 1e-9) for m in marks]
+    pts = np.concatenate([pts, near])
+    inside = spec.contains(pts if spec.dim > 1 else pts[:, 0])
+    return pts[inside]
+
+
+DISTANCE_SPECS = {
+    "interval": es.Interval(-0.71, 0.4),
+    "rectangle": es.Rectangle(1, 2.5),
+    "disk": es.Disk(0.8),
+    "L": es.Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]),
+    "c8_square": es.perturb_polygon(es.Polygon(UNIT_SQUARE),
+                                    (-1.0, 0.6, 1.0, -0.2), 0.07),
+    "irregular": es.Polygon([(0.1, -0.2), (1.3, 0.05), (1.7, 0.9),
+                             (0.9, 1.4), (0.35, 1.1), (-0.4, 0.6)]),
+    "translated": es.Polygon([(x + 1000.0, y - 250.0) for x, y in
+                              [(0, 0), (3, 1), (1, 2.5)]]),
+}
+
+
+class TestDistance:
+    @pytest.mark.parametrize("name", list(DISTANCE_SPECS))
+    def test_distance_against_a_densely_sampled_boundary(self, name):
+        """No boundary sample lies nearer than distance says, and the
+        nearest lies within half a sample spacing more; on the interval,
+        whose boundary is its two ends, the two agree to rounding."""
+        spec = DISTANCE_SPECS[name]
+        pts = interior_probes(spec, np.random.default_rng(17))
+        bnd, spacing = sampled_boundary(spec, 4001)
+        got = spec.distance(pts if spec.dim > 1 else pts[:, 0])
+        assert np.all(got > 0)
+        # coordinates near 1000 round to 1.2e-13; the samples do too
+        slack = 1e-15 * (1 + float(np.max(np.abs(bnd))))
+        for rows in np.array_split(np.arange(len(pts)), 20):
+            diff = pts[rows, None, :] - bnd.reshape(1, len(bnd), -1)
+            near = np.sqrt(np.min(np.sum(diff ** 2, axis=2), axis=1))
+            assert np.all(got[rows] <= near + slack), name
+            assert np.all(near <= got[rows] + spacing / 2 + slack), name
+
+    @pytest.mark.parametrize("name", list(DISTANCE_SPECS))
+    def test_distance_of_points_near_edges_and_vertices(self, name):
+        """A point d inside a side's midpoint along its inward normal (an
+        interval's end, a point of the circle along its radius) lies d from
+        the boundary, up to the rounding of its coordinates, for d from
+        1e-3 to 1e-9 of the box's extent; one d inside a vertex, toward
+        the interior, lies at most d from it."""
+        spec = DISTANCE_SPECS[name]
+        lo, hi = np.array(spec.box()).T
+        extent = float(np.max(hi - lo))
+        tol = 4e-16 * (1 + float(np.max(np.abs([lo, hi]))))
+        for f in (1e-3, 1e-6, 1e-9):
+            d = f * extent
+            if spec.kind == "interval":
+                pts = np.array([spec.a + d, spec.b - d])
+            elif spec.kind == "disk":
+                theta = np.arange(16) * (math.pi / 8)
+                pts = (spec.R - d) * np.stack([np.cos(theta),
+                                               np.sin(theta)], 1)
+            else:
+                v = corners(spec)
+                e = np.roll(v, -1, axis=0) - v
+                inward = np.stack([-e[:, 1], e[:, 0]], 1)  # counterclockwise
+                inward /= np.hypot(*inward.T)[:, None]
+                pts = v + e / 2 + d * inward
+                ahead = inward + np.roll(inward, 1, axis=0)
+                corner = v + d * ahead / np.hypot(*ahead.T)[:, None]
+                at = spec.distance(corner[spec.contains(corner)])
+                assert np.all((at > 0) & (at <= d + tol)), (name, f)
+            assert np.all(spec.contains(pts)), (name, f)
+            assert np.abs(spec.distance(pts) - d).max() <= tol, (name, f)
+
+    @pytest.mark.parametrize("name", list(DISTANCE_SPECS))
+    def test_distance_follows_dilations_exactly(self, name):
+        # every operation scales by c = 2^k without rounding, so the
+        # dilated domain's distance is c times the original's, bit for bit
+        spec = DISTANCE_SPECS[name]
+        pts = interior_probes(spec, np.random.default_rng(23))
+        pts = pts if spec.dim > 1 else pts[:, 0]
+        want = spec.distance(pts)
+        for k in range(-20, 21, 5):
+            c = 2.0 ** k
+            if spec.kind == "interval":
+                big = es.Interval(c * spec.a, c * spec.b)
+            elif spec.kind == "rectangle":
+                big = es.Rectangle(c * spec.Lx, c * spec.Ly)
+            elif spec.kind == "disk":
+                big = es.Disk(c * spec.R)
+            else:
+                big = es.Polygon([(c * x, c * y) for x, y in spec.vertices])
+            assert np.array_equal(big.distance(c * pts), c * want), (name, k)
+
+    def test_contains_is_the_open_set(self):
+        # no guard in the interior test: a point a hair inside is in, with
+        # a positive distance; points on the boundary are out
+        tiny = 2.0 ** -500  # its square is a normal float
+        iv = es.Interval(0, 1)
+        assert iv.contains(np.array([tiny, 1 - 2 ** -53, 0.0, 1.0])).tolist() \
+            == [True, True, False, False]
+        assert iv.distance(tiny) == tiny
+        r = es.Rectangle(1, 2.5)
+        pts = np.array([[tiny, 1.0], [0.5, 2.5 - 2 ** -51], [0.0, 1.0],
+                        [1.0, 1.0], [0.5, 0.0], [0.5, 2.5]])
+        assert r.contains(pts).tolist() == [True, True] + [False] * 4
+        assert r.distance(pts[:2]).tolist() == [tiny, 2 ** -51]
+        sq = es.Polygon(UNIT_SQUARE)
+        assert sq.contains([0.5, tiny]) and sq.distance([0.5, tiny]) == tiny
+        # on an edge or a vertex, contains may read either way, and
+        # distance marks the point with 0
+        on = np.array([[0.5, 0.0], [0.0, 0.5], [1.0, 0.5], [0.5, 1.0],
+                       [0.0, 0.0], [1.0, 1.0]])
+        assert sq.distance(on).tolist() == [0.0] * 6
+        d = es.Disk(5.0)
+        assert d.distance(np.array([[3.0, 4.0], [0.0, 0.0]])).tolist() == [
+            0.0, 5.0]
 
 
 def test_shoelace_orientation_and_value():
@@ -314,9 +492,10 @@ class TestGrids:
 
     @pytest.mark.parametrize("c", [2.0 ** -40, 1.0, 2.0 ** 40])
     def test_boundary_guard_scales_with_the_domain(self, c):
-        # the interval's and the rectangle's guard is relative, as the
-        # polygon's is; an absolute 1e-12 dropped the nodes within it of a
-        # side, so at c = 2^-40 every axis had fewer than 3
+        # build_grid's guard is relative to the box for every domain type;
+        # an absolute 1e-12 dropped the nodes within it of a side, so at
+        # c = 2^-40 every axis had fewer than 3. The disk of radius 8 lattice
+        # steps has nodes (0, +-8) and (+-8, 0) on its circle, which stay out
         h = c / 8
         ticks = list(range(1, 8))
         square = [(i, j) for i in ticks for j in ticks]
@@ -326,6 +505,9 @@ class TestGrids:
         for spec in (es.Rectangle(c, c), poly):
             assert es.build_grid(spec, h).lattice.tolist() == [
                 list(ij) for ij in square]
+        disk = [[i, j] for i in range(-8, 9) for j in range(-8, 9)
+                if i * i + j * j < 64]
+        assert es.build_grid(es.Disk(c), h).lattice.tolist() == disk
 
     def test_h_must_be_positive(self):
         for h in (0.0, -0.1, math.nan, math.inf):

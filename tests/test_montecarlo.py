@@ -68,6 +68,40 @@ class TestConfig:
                 rf"x0=.* needs spec.dim={spec.dim} coordinates")):
             es.SimConfig(spec, x0, 10, 1e-3, seed=1)
 
+    @pytest.mark.parametrize("spec, x0", [
+        (es.Interval(0, 1), [0.0]), (es.Interval(0, 1), [1.0]),
+        (es.Interval(-0.71, 0.4), [-0.71]),
+        (es.Rectangle(1, 2.5), [0.5, 0.0]), (es.Rectangle(1, 2.5), [0.0, 1.0]),
+        (es.Rectangle(1, 2.5), [1.0, 2.0]), (es.Rectangle(1, 2.5), [0.3, 2.5]),
+        (es.Rectangle(1, 2.5), [0.0, 0.0]),
+        (es.Disk(5), [3.0, 4.0]), (es.Disk(5), [-4.0, 3.0]),
+        (es.Disk(5), [0.0, -5.0]), (es.Disk(5), [5.0, 0.0]),
+        (es.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)]), [0.5, 0.0]),
+        (es.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)]), [0.0, 0.5]),
+        (es.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)]), [1.0, 0.5]),
+        (es.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)]), [0.5, 1.0]),
+        (es.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)]), [0.0, 0.0]),
+        (es.Polygon([(0, 0), (1, 0), (1, 1), (0, 1)]), [1.0, 1.0]),
+        (es.Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]),
+         [1.5, 1.0]),
+        (es.Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]),
+         [1.0, 1.5]),
+        (es.Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]),
+         [1.0, 1.0]),
+        (es.Polygon([(0, 0), (4, 0), (0, 4)]), [2.0, 2.0]),
+    ], ids=["interval-a", "interval-b", "interval-negative-a",
+            "rectangle-bottom", "rectangle-left", "rectangle-right",
+            "rectangle-top", "rectangle-corner",
+            "circle-3-4", "circle-minus-4-3", "circle-bottom", "circle-right",
+            "square-bottom", "square-left", "square-right", "square-top",
+            "square-vertex-0-0", "square-vertex-1-1", "L-notch-bottom",
+            "L-notch-side", "L-notch-vertex", "triangle-slanted-edge"])
+    def test_x0_on_the_boundary_rejected(self, spec, x0):
+        # the interior test alone may read a point of a polygon's edge
+        # either way; a distance of 0 marks it
+        with pytest.raises(ValueError, match="is not strictly interior"):
+            es.SimConfig(spec, x0, 10, 1e-3, seed=1)
+
     @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
     def test_non_finite_dt_rejected(self, dt):
         # a NaN dt would walk every path to STEP_CAP, and sqrt(inf) makes
@@ -514,6 +548,12 @@ class TestEstimates:
         _, samples = mc_interval_small
         with pytest.raises(es.McError):
             es.mc_moments(samples, 5)
+
+    def test_negative_moment_order_rejected(self, mc_interval_small):
+        _, samples = mc_interval_small
+        with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
+            es.mc_moments(samples, -1)
+        assert list(es.mc_moments(samples, 0).A) == [1.0]
 
     def test_survival_and_laplace(self):
         cfg = es.SimConfig(es.Interval(0, 1), [0.5], 4000, 1e-3, seed=5)

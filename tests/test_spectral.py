@@ -145,6 +145,22 @@ class TestNumeric:
         for got, want in zip(sd.weights(), ref.weights()):
             assert got == pytest.approx(want, abs=1e-4, rel=2e-3)
 
+    @pytest.mark.parametrize("m", [5, 8])
+    def test_interval_up_to_n_minus_2_clusters(self, m):
+        # 10 nodes: the first block asks for min(m + 4, n - 2) pairs
+        g = es.build_grid(es.Interval(0, 1), 1 / 11)
+        assert g.n == 10
+        sd = es.numeric_spectrum(g, m)
+        ref = es.analytic_spectrum(es.Interval(0, 1), m)
+        assert [mult for _, mult, _ in sd.entries] == [1] * m
+        assert sd.lambdas()[0] == pytest.approx(ref.lambdas()[0], rel=1e-2)
+
+    def test_more_clusters_than_n_minus_2_rejected(self):
+        g = es.build_grid(es.Interval(0, 1), 1 / 11)
+        with pytest.raises(ValueError,
+                           match="m=9 exceeds n - 2 for the n=10 grid nodes"):
+            es.numeric_spectrum(g, 9)
+
     def test_disk_radial_matches_bessel(self):
         g = es.build_radial_grid(es.Disk(1), 1 / 512)
         sd = es.numeric_spectrum(g, 3)
